@@ -25,17 +25,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The nightly tier: everything above plus the slow-tagged suites — the
-# experiment-wide serial-vs-parallel determinism audit and the golden
-# command-stream regressions at full coverage.
+# The nightly tier: everything above plus the slow-tagged suite — the
+# experiment-wide serial-vs-parallel determinism audit.
 test-slow:
 	$(GO) vet -tags slow ./...
 	$(GO) test -tags slow ./...
 
-# One iteration of every paper-figure benchmark plus the scheduler
-# micro-benchmarks and the sharded-engine speedup comparisons (the
-# multi-channel posted-write stream and the multi-contender core-lane
-# workload), captured as test2json streams for trend tracking. Captures
+# One iteration of every paper-figure benchmark plus the event-engine
+# benchmarks (the multi-channel posted-write stream, the contender and
+# LLC-hit workloads, and the open-loop driver path), captured as
+# test2json streams for trend tracking. Captures
 # are written to a temp file and renamed only on success, so a failing
 # benchmark run cannot clobber the previous (committed) capture with a
 # partial stream. BENCH_COUNT repeats each engine benchmark; the diff
@@ -67,7 +66,7 @@ bench-compare:
 # mem.pprof`. Override PROFILE_EXPERIMENT / PROFILE_FLAGS to aim the
 # profiler elsewhere.
 PROFILE_EXPERIMENT ?= headline
-PROFILE_FLAGS ?= -shards auto -core-lanes auto
+PROFILE_FLAGS ?= -workers 1
 
 profile:
 	$(GO) run ./cmd/pimmu-bench $(PROFILE_FLAGS) \

@@ -1,6 +1,6 @@
 // Result-cache correctness tests: a cache-hit rerun of an experiment
-// must be byte-identical to a cold run — across worker counts and
-// shard/core-lane topologies — and the cache must reject (and silently
+// must be byte-identical to a cold run — across worker counts — and the
+// cache must reject (and silently
 // recompute past) corrupt, truncated and wrong-code-version entries.
 // These are the properties that make caching sound on top of the
 // determinism contract the rest of this suite pins.
@@ -24,14 +24,14 @@ import (
 var cachedExperiments = []string{"fig8", "replay"}
 
 // renderWith renders one experiment through a fresh Runner with the
-// given sweep/topology settings, fronted by store when non-nil.
-func renderWith(t *testing.T, store *resultcache.Store, name string, workers, shards, coreLanes int) []byte {
+// given sweep worker count, fronted by store when non-nil.
+func renderWith(t *testing.T, store *resultcache.Store, name string, workers int) []byte {
 	t.Helper()
 	e, ok := harness.ByName(name)
 	if !ok {
 		t.Fatalf("unknown experiment %q", name)
 	}
-	r := &harness.Runner{Shards: shards, CoreLanes: coreLanes, Workers: workers}
+	r := &harness.Runner{Workers: workers}
 	if store != nil {
 		r.Cache = store
 	}
@@ -69,7 +69,7 @@ func TestCacheHitRerunByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pinVersion(t, "cache-test-v1")
 			store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-			cold := renderWith(t, store, name, 1, 0, 0)
+			cold := renderWith(t, store, name, 1)
 			st := store.Stats()
 			if st.Hits != 0 || st.Misses == 0 || st.Stores != st.Misses {
 				t.Fatalf("cold-run stats: %+v", st)
@@ -77,7 +77,7 @@ func TestCacheHitRerunByteIdentical(t *testing.T) {
 			jobs := st.Misses
 			for _, workers := range []int{1, 4, 8} {
 				before := store.Stats()
-				warm := renderWith(t, store, name, workers, 0, 0)
+				warm := renderWith(t, store, name, workers)
 				if !bytes.Equal(cold, warm) {
 					t.Fatalf("workers=%d: warm run differs from cold\n--- cold ---\n%s--- warm ---\n%s",
 						workers, cold, warm)
@@ -91,60 +91,12 @@ func TestCacheHitRerunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheCrossTopologyReuse pins the result-neutral fingerprint: the
-// lane-topology knobs are masked out of the cache key, so entries
-// warmed at shards=1 serve every sharded topology — different shard
-// counts, core-lane counts, auto — with zero re-simulation and
-// byte-identical output (the cross-shard invariant sharded_test.go
-// proves is what makes the sharing sound). The plain engine (shards=0)
-// keeps its own keys: fig8 is a CPU-streaming workload where it
-// legitimately orders same-instant ties differently — see
-// system.Config.Shards — so plain and sharded must never alias.
-func TestCacheCrossTopologyReuse(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed experiment")
-	}
-	pinVersion(t, "cache-test-v1")
-	store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-	serial := renderWith(t, store, "fig8", 4, 1, 0)
-	jobs := store.Stats().Misses
-	for _, topo := range []struct{ shards, coreLanes int }{
-		{2, 4}, {4, 2}, {system.Auto, system.Auto},
-	} {
-		before := store.Stats()
-		got := renderWith(t, store, "fig8", 4, topo.shards, topo.coreLanes)
-		if !bytes.Equal(serial, got) {
-			t.Fatalf("shards=%d core-lanes=%d: warm output diverged from serial sharded engine",
-				topo.shards, topo.coreLanes)
-		}
-		d := store.Stats().Sub(before)
-		if d.Hits != jobs || d.Misses != 0 {
-			t.Fatalf("shards=%d core-lanes=%d: delta %+v, want %d hits and no re-simulation",
-				topo.shards, topo.coreLanes, d, jobs)
-		}
-	}
-	// The plain engine is a different engine class: fresh misses, and
-	// the sharded entries stay intact underneath.
-	before := store.Stats()
-	renderWith(t, store, "fig8", 4, 0, 0)
-	if d := store.Stats().Sub(before); d.Hits != 0 || d.Misses != jobs {
-		t.Fatalf("plain-engine delta %+v, want %d fresh misses", d, jobs)
-	}
-	before = store.Stats()
-	if warm := renderWith(t, store, "fig8", 4, 1, 0); !bytes.Equal(serial, warm) {
-		t.Fatal("serial-sharded rerun no longer matches")
-	}
-	if d := store.Stats().Sub(before); d.Hits != jobs {
-		t.Fatalf("serial-sharded entries lost: %+v", d)
-	}
-}
-
-// TestCacheWarmShards1ServesShards4 is the headline acceptance path for
-// result-neutral keys, on the two experiments the nightly render job
-// publishes: a cache warmed at -shards 1 replays headline and loadcurve
-// at -shards 4 -core-lanes 4 with hit count == job count and the
-// artifact byte-identical — turning a lane-topology knob costs zero
-// re-simulation.
+// TestCacheWarmShards1ServesShards4 covers the nightly render job's
+// warm re-render on the two experiments it publishes: a cache warmed by
+// a sweep run as one shard (-workers 1) replays headline and loadcurve
+// sharded across four workers with hit count == job count and the
+// artifact byte-identical. The job keys carry no worker count, so the
+// direction of the change does not matter.
 func TestCacheWarmShards1ServesShards4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiment")
@@ -153,58 +105,40 @@ func TestCacheWarmShards1ServesShards4(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pinVersion(t, "cache-test-v1")
 			store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-			cold := renderWith(t, store, name, 0, 1, 0)
+			cold := renderWith(t, store, name, 1)
 			jobs := store.Stats().Misses
 			if jobs == 0 {
 				t.Fatalf("%s planned no cacheable jobs", name)
 			}
 			before := store.Stats()
-			warm := renderWith(t, store, name, 0, 4, 4)
+			warm := renderWith(t, store, name, 4)
 			if !bytes.Equal(cold, warm) {
-				t.Fatalf("warm shards=4 core-lanes=4 render differs from cold shards=1\n--- cold ---\n%s--- warm ---\n%s",
+				t.Fatalf("warm workers=4 render differs from cold workers=1 render\n--- cold ---\n%s--- warm ---\n%s",
 					cold, warm)
 			}
-			d := store.Stats().Sub(before)
-			if d.Hits != jobs || d.Misses != 0 {
-				t.Fatalf("cross-topology delta %+v, want %d hits and zero misses", d, jobs)
-			}
-			// And the reuse is stable: rerunning the moved topology stays
-			// all-hits (nothing was re-stored under a different key).
-			before = store.Stats()
-			renderWith(t, store, name, 0, 4, 4)
-			if d := store.Stats().Sub(before); d.Misses != 0 {
-				t.Fatalf("identical rerun missed: %+v", d)
+			if d := store.Stats().Sub(before); d.Hits != jobs || d.Misses != 0 {
+				t.Fatalf("warm delta %+v, want %d hits and zero misses", d, jobs)
 			}
 		})
 	}
 }
 
-// TestCacheNonNeutralPerturbationMisses proves the mask is surgical:
-// changing a result-affecting config field (a DRAM timing parameter)
-// under the same topology forces fresh misses, never a stale hit.
+// TestCacheNonNeutralPerturbationMisses proves keys track the machine:
+// no Config field is masked out of the key, so the same config keys the
+// same and perturbing a result-affecting field (a DRAM timing parameter)
+// forces a fresh miss, never a stale hit.
 func TestCacheNonNeutralPerturbationMisses(t *testing.T) {
 	pinVersion(t, "cache-test-v1")
 	cfg := system.DefaultConfig(system.PIMMMU)
-	cfg.Shards = 1
 	r := &harness.Runner{}
 	base := r.NewJob("test/v1", cfg, "op")
-	// Neutral change: same key.
-	moved := cfg
-	moved.Shards, moved.CoreLanes = 4, 4
-	if r.NewJob("test/v1", moved, "op").Key != base.Key {
-		t.Fatal("lane-topology change altered the cache key")
+	if r.NewJob("test/v1", system.DefaultConfig(system.PIMMMU), "op").Key != base.Key {
+		t.Fatal("identical configs keyed differently")
 	}
-	// Non-neutral change: different key.
 	timing := cfg
 	timing.Mem.DRAM.Timing.CL++
 	if r.NewJob("test/v1", timing, "op").Key == base.Key {
 		t.Fatal("DRAM timing change did not alter the cache key")
-	}
-	// Engine class change: different key.
-	plain := cfg
-	plain.Shards = 0
-	if r.NewJob("test/v1", plain, "op").Key == base.Key {
-		t.Fatal("plain-engine config shares the sharded cache key")
 	}
 }
 
@@ -219,7 +153,7 @@ func TestCacheCorruptEntriesRecomputed(t *testing.T) {
 	pinVersion(t, "cache-test-v1")
 	dir := t.TempDir()
 	store := openCache(t, dir, resultcache.ReadWrite)
-	cold := renderWith(t, store, "fig8", 2, 0, 0)
+	cold := renderWith(t, store, "fig8", 2)
 	entries, err := filepath.Glob(filepath.Join(dir, "*.prc"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no cache entries written: %v (%v)", entries, err)
@@ -242,7 +176,7 @@ func TestCacheCorruptEntriesRecomputed(t *testing.T) {
 		}
 	}
 	before := store.Stats()
-	warm := renderWith(t, store, "fig8", 2, 0, 0)
+	warm := renderWith(t, store, "fig8", 2)
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("recomputed run differs from cold\n--- cold ---\n%s--- recomputed ---\n%s", cold, warm)
 	}
@@ -252,7 +186,7 @@ func TestCacheCorruptEntriesRecomputed(t *testing.T) {
 	}
 	// The repaired entries hit again.
 	before = store.Stats()
-	renderWith(t, store, "fig8", 2, 0, 0)
+	renderWith(t, store, "fig8", 2)
 	if d := store.Stats().Sub(before); d.Hits != uint64(len(entries)) || d.Misses != 0 {
 		t.Fatalf("repair did not stick: %+v", d)
 	}
@@ -267,11 +201,11 @@ func TestCacheCodeVersionChangeForcesMiss(t *testing.T) {
 	}
 	pinVersion(t, "build-A")
 	store := openCache(t, t.TempDir(), resultcache.ReadWrite)
-	cold := renderWith(t, store, "fig8", 2, 0, 0)
+	cold := renderWith(t, store, "fig8", 2)
 	jobs := store.Stats().Misses
 	resultcache.SetCodeVersion("build-B")
 	before := store.Stats()
-	if got := renderWith(t, store, "fig8", 2, 0, 0); !bytes.Equal(cold, got) {
+	if got := renderWith(t, store, "fig8", 2); !bytes.Equal(cold, got) {
 		t.Fatal("same-code rerun under a new stamp changed output")
 	}
 	if d := store.Stats().Sub(before); d.Hits != 0 || d.Misses != jobs {
@@ -281,7 +215,7 @@ func TestCacheCodeVersionChangeForcesMiss(t *testing.T) {
 	// coexist in one directory without clobbering each other's keys.
 	resultcache.SetCodeVersion("build-A")
 	before = store.Stats()
-	renderWith(t, store, "fig8", 2, 0, 0)
+	renderWith(t, store, "fig8", 2)
 	if d := store.Stats().Sub(before); d.Hits != jobs {
 		t.Fatalf("original version's entries lost: %+v", d)
 	}
@@ -297,9 +231,9 @@ func TestCacheReadOnlySharing(t *testing.T) {
 	dir := t.TempDir()
 	// Warm half the cache in rw mode, then reopen read-only.
 	rw := openCache(t, dir, resultcache.ReadWrite)
-	cold := renderWith(t, rw, "fig8", 2, 0, 0)
+	cold := renderWith(t, rw, "fig8", 2)
 	ro := openCache(t, dir, resultcache.ReadOnly)
-	if got := renderWith(t, ro, "fig8", 2, 0, 0); !bytes.Equal(cold, got) {
+	if got := renderWith(t, ro, "fig8", 2); !bytes.Equal(cold, got) {
 		t.Fatal("read-only warm run differs")
 	}
 	st := ro.Stats()
@@ -308,7 +242,7 @@ func TestCacheReadOnlySharing(t *testing.T) {
 	}
 	// A different experiment misses and recomputes without writing.
 	before := ro.Stats()
-	renderWith(t, ro, "replay", 2, 0, 0)
+	renderWith(t, ro, "replay", 2)
 	d := ro.Stats().Sub(before)
 	if d.Misses == 0 || d.Stores != 0 {
 		t.Fatalf("read-only miss path delta %+v", d)

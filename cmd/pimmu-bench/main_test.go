@@ -23,22 +23,21 @@ func TestFlagsParseAndResolve(t *testing.T) {
 	fs := flag.NewFlagSet("pimmu-bench", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	f := registerFlags(fs)
-	err := fs.Parse([]string{"-full", "-workers", "2", "-shards", "auto",
-		"-core-lanes", "4", "-lane-stats", "-cache", "off", "all"})
+	err := fs.Parse([]string{"-full", "-workers", "2", "-cache", "off", "all"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !*f.full {
 		t.Error("-full not parsed")
 	}
-	r, store, _, err := f.runner.Runner(io.Discard)
+	r, store, err := f.runner.Runner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store != nil || r.Cache != nil {
 		t.Error("-cache off still opened a store")
 	}
-	if r.Workers != 2 || r.LaneStats == nil {
+	if r.Workers != 2 {
 		t.Errorf("runner not resolved from flags: %+v", r)
 	}
 }

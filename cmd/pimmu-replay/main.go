@@ -6,8 +6,8 @@
 //	pimmu-replay record  [-design D] [-kb N] [-dir to|from] [-text] -o FILE
 //	pimmu-replay gen     [-pattern P] [-n N] [-gap NS] [-seed S] [-text] -o FILE
 //	pimmu-replay inspect [-n N] FILE
-//	pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
-//	pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,...] [-n N] [-slo-ns N] [-seed S] [... replay's format, topology, cache and profile flags]
+//	pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
+//	pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,...] [-n N] [-slo-ns N] [-seed S] [... replay's format, worker, cache and profile flags]
 //
 // record captures every request a transfer presents to the memory port
 // of the chosen design; gen synthesizes one of the built-in application
@@ -15,15 +15,8 @@
 // trace's summary and head/tail records; replay injects a trace into a
 // fresh machine (or, with -design all, into every design point in
 // parallel) at its recorded inter-arrival times and reports bandwidth
-// and latency. Replays of the same trace are bit-identical across runs,
-// across -workers counts, across -shards counts >= 1 (auto included)
-// and across every -core-lanes count (-shards runs each machine's lane
-// topology — one event lane per DDR4 channel plus -core-lanes per-core
-// host lanes — in conservative parallel windows; auto sizes the pool to
-// the host with adaptive window tuning; 0, the default serial engine,
-// can break same-instant event ties differently on some workloads — see
-// system.Config.Shards). -lane-stats dumps each machine's per-lane
-// event counters to stderr after its replay; cache hits skip the dump.
+// and latency. Replays of the same trace are bit-identical across runs
+// and across -workers counts.
 //
 // load sweeps an open-loop arrival process (fixed-rate, poisson, or
 // bursty on/off) over an offered-load axis on Base and PIM-MMU: unlike
@@ -39,11 +32,9 @@
 // result is served from disk when already computed. The trace identity
 // is a digest of the canonical binary encoding of the records, so the
 // same workload hits whether it was stored as text or binary, and any
-// record change forces a recompute. The machine fingerprint excludes
-// -shards, -core-lanes and -workers — they change execution speed,
-// never results — so a cache warmed at one lane topology serves every
-// other (the plain -shards 0 engine keys separately). The report is
-// byte-identical warm or cold; the hit/miss summary goes to stderr.
+// record change forces a recompute. The key excludes -workers, which
+// changes execution speed, never results. The report is byte-identical
+// warm or cold; the hit/miss summary goes to stderr.
 //
 // replay and load also accept -cpuprofile and -memprofile, writing
 // pprof profiles that cover the replayed simulations.
@@ -111,8 +102,8 @@ func usage() {
   pimmu-replay record  [-design D] [-kb N] [-dir to|from] [-text] -o FILE
   pimmu-replay gen     [-pattern P] [-n N] [-gap NS] [-seed S] [-text] -o FILE
   pimmu-replay inspect [-n N] FILE
-  pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
-  pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,NS,...] [-n N] [-slo-ns N] [-seed S] [-format text|json] [-workers N] [-shards N|auto] [-core-lanes N|auto] [-lane-stats] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE]
+  pimmu-replay replay  [-design D|all] [-format text|json] [-workers N] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE] FILE
+  pimmu-replay load    [-process fixed|poisson|burst] [-pattern P] [-gaps NS,NS,...] [-n N] [-slo-ns N] [-seed S] [-format text|json] [-workers N] [-inflight N] [-noncacheable] [-cache-dir DIR] [-cache off|rw|ro] [-cpuprofile FILE] [-memprofile FILE]
 `)
 }
 
@@ -134,19 +125,6 @@ func registerFlags(fs *flag.FlagSet) *replayFlags {
 		noncache: fs.Bool("noncacheable", false, "bypass the LLC for DRAM-region requests"),
 		runner:   harness.RegisterRunnerFlags(fs),
 	}
-}
-
-// runner resolves the shared flags, printing warnings under the CLI
-// prefix.
-func (f *replayFlags) newRunner() (*harness.Runner, *resultcache.Store, error) {
-	runner, store, warns, err := f.runner.Runner(os.Stderr)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, w := range warns {
-		fmt.Fprintf(os.Stderr, "pimmu-replay: warning: %s\n", w)
-	}
-	return runner, store, nil
 }
 
 // emit prints one computed result in the selected -format: text runs
@@ -288,7 +266,7 @@ func cmdReplay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay: want exactly one trace file")
 	}
-	runner, store, err := f.newRunner()
+	runner, store, err := f.runner.Runner()
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
@@ -323,12 +301,12 @@ func cmdReplay(args []string) error {
 	plan := func(designs []system.Design) harness.Plan {
 		jobs := make([]harness.Job, len(designs))
 		for i, d := range designs {
-			jobs[i] = runner.NewJob("pimmu-replay/v1", runner.Config(d), op)
+			jobs[i] = runner.NewJob("pimmu-replay/v1", system.DefaultConfig(d), op)
 		}
 		return harness.Plan{Experiment: "pimmu-replay", Jobs: jobs}
 	}
 	run := func(i int, j harness.Job) trace.Result {
-		return replayOn(runner, j, recs, cfg)
+		return replayOn(j, recs, cfg)
 	}
 
 	if *designFlag == "all" {
@@ -391,7 +369,7 @@ func cmdLoad(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("load: unexpected arguments %v", fs.Args())
 	}
-	runner, store, err := f.newRunner()
+	runner, store, err := f.runner.Runner()
 	if err != nil {
 		return fmt.Errorf("load: %w", err)
 	}
@@ -438,7 +416,7 @@ func cmdLoad(args []string) error {
 	}
 	jobs := make([]harness.Job, len(pts))
 	for i, p := range pts {
-		jobs[i] = runner.NewJob("pimmu-load/v1", runner.Config(designs[p.di]),
+		jobs[i] = runner.NewJob("pimmu-load/v1", system.DefaultConfig(designs[p.di]),
 			fmt.Sprintf("pattern=%s gen=%s dcfg=%s", *pattern,
 				resultcache.Canonical(gcfg), resultcache.Canonical(dcfgAt(gaps[p.gi]))))
 	}
@@ -449,7 +427,7 @@ func cmdLoad(args []string) error {
 	results := harness.ComputePlan(runner,
 		harness.Plan{Experiment: "pimmu-load", Jobs: jobs},
 		func(i int, j harness.Job) trace.LoadResult {
-			return loadOn(runner, j, trace.Pattern(*pattern), gcfg, dcfgAt(gaps[pts[i].gi]))
+			return loadOn(j, trace.Pattern(*pattern), gcfg, dcfgAt(gaps[pts[i].gi]))
 		})
 
 	render := func(w io.Writer) {
@@ -518,7 +496,7 @@ func kneeGBs(gap clock.Picos) string {
 // loadOn runs one open-loop point on a fresh machine of the job's
 // config: the pattern supplies addresses (its footprint allocated on the
 // machine), the driver config supplies arrivals.
-func loadOn(runner *harness.Runner, j harness.Job, p trace.Pattern, gcfg trace.GenConfig, dcfg trace.DriverConfig) trace.LoadResult {
+func loadOn(j harness.Job, p trace.Pattern, gcfg trace.GenConfig, dcfg trace.DriverConfig) trace.LoadResult {
 	s := system.MustNew(j.Config)
 	gcfg.Base = s.Alloc(gcfg.FootprintBytes(p))
 	recs, err := trace.Generate(p, gcfg)
@@ -529,7 +507,6 @@ func loadOn(runner *harness.Runner, j harness.Job, p trace.Pattern, gcfg trace.G
 	if err != nil {
 		panic(err)
 	}
-	runner.ReportLaneStats(fmt.Sprintf("load %v gap=%v", s.Cfg.Design, dcfg.MeanGap), s)
 	return r
 }
 
@@ -542,14 +519,12 @@ func traceIdentity(recs []trace.Record) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// replayOn replays recs on a fresh machine of the job's config, with
-// the event queue sharded over the runner's lane topology.
-func replayOn(runner *harness.Runner, j harness.Job, recs []trace.Record, cfg trace.ReplayConfig) trace.Result {
+// replayOn replays recs on a fresh machine of the job's config.
+func replayOn(j harness.Job, recs []trace.Record, cfg trace.ReplayConfig) trace.Result {
 	s := system.MustNew(j.Config)
 	r, err := s.RunReplay(recs, cfg)
 	if err != nil {
 		panic(err)
 	}
-	runner.ReportLaneStats(fmt.Sprintf("replay %v", s.Cfg.Design), s)
 	return r
 }

@@ -25,21 +25,21 @@ func TestFlagsParseAndResolve(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	f := registerFlags(fs)
 	err := fs.Parse([]string{"-inflight", "32", "-noncacheable",
-		"-shards", "1", "-cache", "off", "trace.bin"})
+		"-workers", "3", "-cache", "off", "trace.bin"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *f.inflight != 32 || !*f.noncache {
 		t.Error("replay flags not parsed")
 	}
-	r, store, _, err := f.runner.Runner(io.Discard)
+	r, store, err := f.runner.Runner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store != nil {
 		t.Error("-cache off still opened a store")
 	}
-	if r.Shards != 1 {
+	if r.Workers != 3 {
 		t.Errorf("runner not resolved from flags: %+v", r)
 	}
 }

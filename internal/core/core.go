@@ -228,20 +228,12 @@ type transferState struct {
 }
 
 // Engine is the DCE hardware model.
-//
-// On a topology-sharded engine the DCE schedules its standing events on
-// the serial-only "dce" lane: every DCE event (driver phases, the
-// preprocessing drain) pumps the batch pipeline into the memory system,
-// so all of them are crossings and fire at the shared frontier — the
-// lane buys no window parallelism, but it gives the DCE its own
-// ShardStats row so frontier pressure is attributable.
 type Engine struct {
-	eng   *sim.Engine
-	sched sim.Scheduler // the DCE's event lane (the engine when not laned)
-	sys   *memsys.System
-	geom  pim.Geometry
-	cfg   Config
-	dom   clock.Domain
+	eng  *sim.Engine
+	sys  *memsys.System
+	geom pim.Geometry
+	cfg  Config
+	dom  clock.Domain
 
 	busy    bool
 	phaseEv sim.Event
@@ -273,10 +265,7 @@ func New(eng *sim.Engine, sys *memsys.System, geom pim.Geometry, cfg Config) (*E
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{eng: eng, sched: eng, sys: sys, geom: geom, cfg: cfg, dom: clock.NewDomain(cfg.Clock)}
-	if l, ok := eng.Lane("dce"); ok {
-		e.sched = l
-	}
+	e := &Engine{eng: eng, sys: sys, geom: geom, cfg: cfg, dom: clock.NewDomain(cfg.Clock)}
 	e.phaseEv.Init(sim.HandlerFunc(e.onPhase))
 	e.preprocEv.Init(sim.HandlerFunc(e.firePreproc))
 	return e, nil
@@ -319,7 +308,7 @@ func (e *Engine) Transfer(op Op, onDone func(Result)) {
 		batchCap: e.cfg.AddrBufBytes / e.cfg.AddrEntryBytes,
 	}
 	e.phase = phaseLaunch
-	e.sched.Schedule(&e.phaseEv, e.eng.Now()+e.cfg.DriverLaunch)
+	e.eng.Schedule(&e.phaseEv, e.eng.Now()+e.cfg.DriverLaunch)
 }
 
 // onPhase advances the transfer's sequential stages.
@@ -357,11 +346,11 @@ func (e *Engine) batchDone() {
 	e.batch = nil
 	if e.cur.from < len(e.cur.op.Cores) {
 		e.phase = phaseReload
-		e.sched.Schedule(&e.phaseEv, e.eng.Now()+e.cfg.BatchReload)
+		e.eng.Schedule(&e.phaseEv, e.eng.Now()+e.cfg.BatchReload)
 		return
 	}
 	e.phase = phaseInterrupt
-	e.sched.Schedule(&e.phaseEv, e.eng.Now()+e.cfg.DriverInterrupt)
+	e.eng.Schedule(&e.phaseEv, e.eng.Now()+e.cfg.DriverInterrupt)
 }
 
 // streams derives the two stream sets for cores[from:to]: the DRAM-side
@@ -505,7 +494,7 @@ func (e *Engine) queuePreproc(now clock.Picos) {
 	at := now + e.dom.Duration(e.cfg.Preproc.Cycles(1))
 	e.preprocQ = append(e.preprocQ, at)
 	if !e.preprocEv.Scheduled() {
-		e.sched.Schedule(&e.preprocEv, at)
+		e.eng.Schedule(&e.preprocEv, at)
 	}
 }
 
@@ -521,7 +510,7 @@ func (e *Engine) firePreproc(now clock.Picos) {
 		e.preprocQ = e.preprocQ[:0]
 		e.preprocHead = 0
 	} else {
-		e.sched.Schedule(&e.preprocEv, e.preprocQ[e.preprocHead])
+		e.eng.Schedule(&e.preprocEv, e.preprocQ[e.preprocHead])
 	}
 	b := e.batch
 	b.readsDone += n * mem.LineBytes

@@ -131,26 +131,12 @@ type lastCAS struct {
 
 // Channel is one DDR4 channel: an FR-FCFS controller plus the ranks and
 // banks behind it. All timing bookkeeping is in command-clock cycles.
-//
-// On a sharded engine each channel schedules on its own event lane — the
-// topology lane "<set>:<id>" ("dram:0", "pim:3") when the engine was
-// built from a topology, a dynamically claimed lane otherwise. The
-// channel's only crossing edge is toward the host (the memory system
-// that enqueued the request): a data burst follows its column command by
-// min(CL,CWL)+BL, so that is the edge's minimum latency and the lane's
-// conservative lookahead. The scheduler tick and data-burst completions
-// are lane-local unless they can touch the outside world (queue-space
-// waiters to notify, a completion callback to invoke), which is what
-// lets independent channels simulate in parallel inside a conservative
-// window. Everything the channel mutates — queues, bank state, stats,
-// its observer — belongs to the channel, so the per-channel Observer
-// must not be shared across channels of a sharded machine.
 type Channel struct {
-	sched sim.Scheduler
-	cfg   Config
-	dom   clock.Domain
-	id    int
-	name  string
+	eng  *sim.Engine
+	cfg  Config
+	dom  clock.Domain
+	id   int
+	name string
 
 	ranks   []*rankState
 	readQ   []*pending
@@ -163,12 +149,6 @@ type Channel struct {
 	lastTick int64     // last cycle the scheduler ran (one command per cycle)
 	waiters  []func()
 	observer Observer
-
-	// cbQueued counts queued requests carrying a completion callback.
-	// While it is zero and no waiters are registered, nothing the channel
-	// does can schedule a crossing event, and its shard lane may run
-	// without a lookahead cap (posted-write streams, writeback drains).
-	cbQueued int
 
 	// prepMark/prepGen are the scheduler's allocation-free per-tick
 	// scratch: prepMark[rank*banks+bank] == prepGen marks a bank already
@@ -187,16 +167,8 @@ type Channel struct {
 }
 
 func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
-	// Prefer the topology-declared lane; fall back to a dynamically
-	// claimed one (plain NewSharded engines, unit tests) with the same
-	// command-to-data lookahead. On a serial engine both paths resolve to
-	// the engine itself.
-	sched, ok := eng.Lane(fmt.Sprintf("%s:%d", name, id))
-	if !ok {
-		sched = eng.NewLane(cfg.Timing.MinCrossLatency())
-	}
 	c := &Channel{
-		sched:    sched,
+		eng:      eng,
 		cfg:      cfg,
 		dom:      cfg.Timing.Domain(),
 		id:       id,
@@ -205,7 +177,6 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 		stats:    newChannelStats(cfg.SeriesWindow),
 	}
 	c.tickEv.Init(sim.HandlerFunc(c.tick))
-	c.updateCrossingFree()
 	nBanks := cfg.Geometry.BankGroups * cfg.Geometry.Banks
 	c.prepMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
@@ -256,9 +227,9 @@ func (c *Channel) TryEnqueue(r *mem.Req, loc addrmap.Loc) bool {
 		// Traffic resuming after an idle gap: the refreshes of that gap
 		// happened invisibly, so bring the bookkeeping forward instead of
 		// serially replaying them.
-		c.catchUpRefresh(c.dom.Cycles(c.sched.Now()))
+		c.catchUpRefresh(c.dom.Cycles(c.eng.Now()))
 	}
-	r.Enqueued = c.sched.Now()
+	r.Enqueued = c.eng.Now()
 	p := c.freePend
 	if p == nil {
 		p = &pending{}
@@ -267,19 +238,8 @@ func (c *Channel) TryEnqueue(r *mem.Req, loc addrmap.Loc) bool {
 	}
 	*p = pending{req: r, loc: loc}
 	*q = append(*q, p)
-	if r.OnDone != nil {
-		if c.cbQueued++; c.cbQueued == 1 {
-			c.updateCrossingFree()
-		}
-	}
 	c.kick()
 	return true
-}
-
-// updateCrossingFree tells the channel's lane whether any future action
-// could schedule a crossing event.
-func (c *Channel) updateCrossingFree() {
-	c.sched.SetCrossingFree(c.cbQueued == 0 && len(c.waiters) == 0)
 }
 
 // catchUpRefresh skips refresh intervals that elapsed while the channel
@@ -294,13 +254,8 @@ func (c *Channel) catchUpRefresh(cyc int64) {
 }
 
 // WaitSpace registers a one-shot callback fired when queue space frees up.
-// A waiter makes the next scheduler tick externally visible (it will
-// notify host-side code), so any standing tick is promoted to a crossing
-// event on sharded engines.
 func (c *Channel) WaitSpace(fn func()) {
 	c.waiters = append(c.waiters, fn)
-	c.sched.Promote(&c.tickEv)
-	c.updateCrossingFree()
 }
 
 func (c *Channel) notifySpace() {
@@ -309,7 +264,6 @@ func (c *Channel) notifySpace() {
 	}
 	ws := c.waiters
 	c.waiters = nil
-	c.updateCrossingFree()
 	for _, fn := range ws {
 		fn()
 	}
@@ -319,7 +273,7 @@ func (c *Channel) notifySpace() {
 // standing tick event is already pending at a later time (for example a
 // distant refresh deadline), it is pulled forward in place.
 func (c *Channel) kick() {
-	c.kickAt(c.dom.Align(c.sched.Now()))
+	c.kickAt(c.dom.Align(c.eng.Now()))
 }
 
 // kickAtCycle schedules a tick at an absolute cycle.
@@ -336,13 +290,7 @@ func (c *Channel) kickAt(t clock.Picos) {
 	if c.tickEv.Scheduled() && c.tickEv.When() <= t {
 		return
 	}
-	// A tick with no waiters touches only channel state; with waiters it
-	// will call back into host-side code (notifySpace).
-	if len(c.waiters) == 0 {
-		c.sched.ScheduleLocal(&c.tickEv, t)
-	} else {
-		c.sched.Schedule(&c.tickEv, t)
-	}
+	c.eng.Schedule(&c.tickEv, t)
 }
 
 func (c *Channel) tick(now clock.Picos) {

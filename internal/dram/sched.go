@@ -274,7 +274,7 @@ func (c *Channel) issueACT(p *pending, cyc int64) {
 // issuePREBank closes a bank belonging to rank r.
 func (c *Channel) issuePREBank(r *rankState, b *bankState) {
 	t := &c.cfg.Timing
-	cyc := c.dom.Cycles(c.sched.Now())
+	cyc := c.dom.Cycles(c.eng.Now())
 	if c.observer != nil {
 		bg, bk := c.locOfBank(r, b)
 		c.emit(CmdEvent{Cycle: cyc, Cmd: CmdPRE, Rank: c.rankIndex(r),
@@ -332,18 +332,7 @@ func (c *Channel) issueCAS(p *pending, cyc int64) {
 		cp.next = nil
 	}
 	cp.req = p.req
-	// A completion with no callback only updates channel-local stats; one
-	// with a callback crosses back into the requester. Once the crossing
-	// is scheduled it is visible in the lane's mailbox, so the dequeued
-	// callback no longer needs the lookahead cap.
-	if p.req.OnDone == nil {
-		c.sched.ScheduleLocal(&cp.ev, c.dom.Duration(doneCycle))
-	} else {
-		c.sched.Schedule(&cp.ev, c.dom.Duration(doneCycle))
-		if c.cbQueued--; c.cbQueued == 0 {
-			c.updateCrossingFree()
-		}
-	}
+	c.eng.Schedule(&cp.ev, c.dom.Duration(doneCycle))
 	c.notifySpace()
 
 	// The request left its queue and every field has been read: recycle.

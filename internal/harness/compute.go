@@ -106,7 +106,7 @@ func fig4Compute(r *Runner, sc Scale) []Fig4Section {
 	return ComputePlan(r, fig4Plan(r, sc), func(i int, j Job) Fig4Section {
 		s := system.MustNew(j.Config)
 		pt, stop := s.SamplePower(50 * clock.Microsecond)
-		res := r.runTransfer(s, bothDirections[i], size)
+		res := runTransfer(s, bothDirections[i], size)
 		stop()
 		sec := Fig4Section{Thr: res.Throughput()}
 		n := pt.Watts.Len()
@@ -139,7 +139,7 @@ var fig6Points = []struct {
 // fig6Config is one fig6 point's machine config: the default design
 // config with the 100 us stats window the time series is bucketed on.
 func fig6Config(r *Runner, i int) system.Config {
-	cfg := r.Config(fig6Points[i].design)
+	cfg := system.DefaultConfig(fig6Points[i].design)
 	cfg.Mem.PIM.SeriesWindow = 100 * clock.Microsecond
 	return cfg
 }
@@ -158,7 +158,7 @@ func fig6Compute(r *Runner, sc Scale) []Fig6Section {
 	size := fig6Size(sc)
 	return ComputePlan(r, fig6Plan(r, sc), func(i int, j Job) Fig6Section {
 		s := system.MustNew(j.Config)
-		r.runTransfer(s, core.DRAMToPIM, size)
+		runTransfer(s, core.DRAMToPIM, size)
 		var series []*stats.Series
 		for _, c := range s.Mem.PIM.Stats().Channels {
 			series = append(series, c.WriteSeries)
@@ -247,7 +247,7 @@ func (r *Runner) contendedLatency(j Job, size uint64, n, level int) float64 {
 			})
 		}
 	}
-	res := r.runTransfer(s, core.DRAMToPIM, size)
+	res := runTransfer(s, core.DRAMToPIM, size)
 	if st != nil {
 		st.Stop()
 	}
@@ -322,7 +322,7 @@ func fig14Grid() sweep.Grid {
 // applied to the DRAM and PIM systems alike.
 func fig14Config(r *Runner, g sweep.Grid, i int) system.Config {
 	c := fig14Configs[g.Coord(i, 0)]
-	cfg := r.Config(baseVsMMU[g.Coord(i, 1)])
+	cfg := system.DefaultConfig(baseVsMMU[g.Coord(i, 1)])
 	cfg.Mem.DRAM.Geometry.Channels = c.ch
 	cfg.Mem.DRAM.Geometry.Ranks = c.ra
 	cfg.Mem.PIM.Geometry.Channels = c.ch
@@ -376,7 +376,7 @@ func fig15aCompute(r *Runner, sc Scale) []float64 {
 	g := fig15Grid(sc)
 	return ComputePlan(r, fig15aPlan(r, sc), func(i int, j Job) float64 {
 		s := system.MustNew(j.Config)
-		return r.runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)]).Throughput()
+		return runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)]).Throughput()
 	})
 }
 
@@ -398,7 +398,7 @@ func fig15bCompute(r *Runner, sc Scale) []Fig15bPoint {
 	return ComputePlan(r, fig15bPlan(r, sc), func(i int, j Job) Fig15bPoint {
 		s := system.MustNew(j.Config)
 		before := s.Activity()
-		r.runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)])
+		runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)])
 		b := s.EnergyOver(before, s.Activity())
 		return Fig15bPoint{Total: b.Total(), StaticFrac: b.Static() / b.Total()}
 	})
@@ -463,7 +463,7 @@ func headlineCompute(r *Runner, sc Scale) []HeadlinePoint {
 	return ComputePlan(r, headlinePlan(r, sc), func(i int, j Job) HeadlinePoint {
 		s := system.MustNew(j.Config)
 		a0 := s.Activity()
-		res := r.runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)])
+		res := runTransfer(s, bothDirections[g.Coord(i, 0)], sizes[g.Coord(i, 1)])
 		e := s.EnergyOver(a0, s.Activity())
 		return HeadlinePoint{Thr: res.Throughput(), Eff: float64(res.Bytes) / e.Total()}
 	})
@@ -514,7 +514,6 @@ func replayCompute(r *Runner, sc Scale) []ReplayPoint {
 		if err != nil {
 			panic(err)
 		}
-		r.ReportLaneStats(fmt.Sprintf("replay %s %v", wl.name, s.Cfg.Design), s)
 		return ReplayPoint{Thr: rr.Throughput(), Hist: rr.Latency}
 	})
 }
@@ -558,7 +557,6 @@ func loadCurveCompute(r *Runner, sc Scale) []LoadPoint {
 		if err != nil {
 			panic(err)
 		}
-		r.ReportLaneStats(fmt.Sprintf("loadcurve gap=%v %v", gaps[g.Coord(i, 0)], s.Cfg.Design), s)
 		return LoadPoint{Thr: lr.Throughput(), Total: lr.Total, Queue: lr.Queue}
 	})
 }

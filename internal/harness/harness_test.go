@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
 
@@ -139,7 +140,7 @@ func TestReplayWorkloadNamesUnique(t *testing.T) {
 }
 
 func TestPerCoreFloor(t *testing.T) {
-	s := (&Runner{}).newSystem(0)
+	s := system.MustNew(system.DefaultConfig(system.Base))
 	if got := perCore(s, 1); got != 64 {
 		t.Errorf("perCore(1 byte) = %d, want floor 64", got)
 	}

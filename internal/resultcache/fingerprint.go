@@ -42,42 +42,13 @@ import (
 // must make an explicit fingerprinting decision rather than silently
 // escaping the key.
 func Canonical(v any) []byte {
-	return CanonicalMasked(v, nil)
-}
-
-// Mask names struct-field subtrees to exclude from the canonical
-// encoding: result-neutral fields, proven (by determinism tests) not to
-// affect the computed result. Keys are the dotted field paths Canonical
-// emits ("Shards", "Mem.PIM.Channels", ...); a masked path prunes the
-// whole subtree rooted there.
-//
-// Masking a field is a soundness claim — two configs differing only in
-// masked fields share cache entries — so every mask entry must be
-// backed by a test proving byte-identical results across the field's
-// values, and every entry must actually match a field: a mask path that
-// never matches during the walk panics, so a field rename cannot
-// silently turn an exclusion into a no-op.
-type Mask map[string]bool
-
-// CanonicalMasked is Canonical with result-neutral subtrees pruned. The
-// encoding of the remaining fields is unchanged, so adding a mask for
-// fields at their zero/default values still changes the key only via
-// the caller's schema tag, never by accident.
-func CanonicalMasked(v any, mask Mask) []byte {
 	var buf []byte
-	matched := make(map[string]bool, len(mask))
-	appendCanonical(&buf, "", reflect.ValueOf(v), mask, matched)
-	for p := range mask {
-		if !matched[p] {
-			panic(fmt.Sprintf("resultcache: mask path %q matched no field; the field was renamed or removed", p))
-		}
-	}
+	appendCanonical(&buf, "", reflect.ValueOf(v))
 	return buf
 }
 
-// appendCanonical walks one value, appending leaf lines to buf and
-// pruning masked subtrees.
-func appendCanonical(buf *[]byte, path string, v reflect.Value, mask Mask, matched map[string]bool) {
+// appendCanonical walks one value, appending leaf lines to buf.
+func appendCanonical(buf *[]byte, path string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		appendLeaf(buf, path, strconv.FormatBool(v.Bool()))
@@ -103,17 +74,12 @@ func appendCanonical(buf *[]byte, path string, v reflect.Value, mask Mask, match
 			if !f.IsExported() {
 				panic(fmt.Sprintf("resultcache: unexported field %s.%s cannot be fingerprinted; export it or restructure the config", joinPath(path, t.Name()), f.Name))
 			}
-			fp := joinPath(path, f.Name)
-			if mask[fp] {
-				matched[fp] = true
-				continue
-			}
-			appendCanonical(buf, fp, v.Field(i), mask, matched)
+			appendCanonical(buf, joinPath(path, f.Name), v.Field(i))
 		}
 	case reflect.Array, reflect.Slice:
 		appendLeaf(buf, joinPath(path, "len"), strconv.Itoa(v.Len()))
 		for i := 0; i < v.Len(); i++ {
-			appendCanonical(buf, fmt.Sprintf("%s[%d]", path, i), v.Index(i), mask, matched)
+			appendCanonical(buf, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
 		}
 	default:
 		panic(fmt.Sprintf("resultcache: cannot fingerprint %s field at %q; give it an explicit encoding", v.Kind(), path))

@@ -20,9 +20,13 @@ import (
 )
 
 // SchemaVersion names the wire schema this package speaks. Bump it when
-// a field changes meaning or shape; additive optional fields do not
-// require a bump.
-const SchemaVersion = "pimmu-serve/v1"
+// a field changes meaning or shape, or leaves; additive optional fields
+// do not require a bump.
+//
+// v2: JobRequest lost the shards and core_lanes fields (the simulator
+// has one serial event engine). Requests are decoded strictly, so a v2
+// request that still sends them is rejected rather than half-understood.
+const SchemaVersion = "pimmu-serve/v2"
 
 // CheckSchema validates a request or payload schema stamp. An empty
 // stamp is rejected too: a client that does not say what it speaks
@@ -45,21 +49,16 @@ const (
 )
 
 // JobRequest is the body of POST /v1/jobs: one experiment render at one
-// scale under an explicit runner topology and cache mode. Zero values
-// select the server's defaults (quick scale, serial engine, rw cache),
-// mirroring the CLI flag defaults.
+// scale under an explicit worker count and cache mode. Zero values select
+// the server's defaults (quick scale, server worker count, rw cache),
+// mirroring the CLI flag defaults. Unknown fields are rejected.
 type JobRequest struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
 	// Scale is "quick" (default) or "full".
 	Scale string `json:"scale,omitempty"`
-	// Shards and CoreLanes take the CLI flag syntax: a count or "auto".
-	// They steer how fast the simulation runs, never what it returns —
-	// results are byte-identical across topologies by contract.
-	Shards    string `json:"shards,omitempty"`
-	CoreLanes string `json:"core_lanes,omitempty"`
 	// Workers caps the sweep worker pool for this job (0 = server
-	// default).
+	// default). It steers how fast the job runs, never what it returns.
 	Workers int `json:"workers,omitempty"`
 	// Cache is the result-cache mode for this job: "rw" (default),
 	// "ro", or "off". Serve-level dedup of identical submissions happens
@@ -108,8 +107,7 @@ type JobEvent struct {
 // output: the machine-readable per-design-point results plus the
 // deterministic text render of exactly those results. Identical
 // (experiment, scale, config) inputs produce byte-identical
-// ExperimentResult JSON regardless of worker count or lane topology —
-// the server stores and serves the marshaled bytes verbatim.
+// ExperimentResult JSON regardless of worker count — the server stores and serves the marshaled bytes verbatim.
 type ExperimentResult struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`

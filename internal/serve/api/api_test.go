@@ -10,7 +10,7 @@ func TestCheckSchema(t *testing.T) {
 	if err := CheckSchema(SchemaVersion); err != nil {
 		t.Fatalf("current schema rejected: %v", err)
 	}
-	for _, bad := range []string{"", "pimmu-serve/v0", "pimmu-serve/v2", "v1"} {
+	for _, bad := range []string{"", "pimmu-serve/v0", "pimmu-serve/v1", "pimmu-serve/v3", "v2"} {
 		err := CheckSchema(bad)
 		if err == nil {
 			t.Fatalf("schema %q accepted", bad)

@@ -49,6 +49,12 @@ func postJob(t *testing.T, ts *httptest.Server, req api.JobRequest) (api.JobStat
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, ts, body)
+}
+
+// postRaw is postJob with a raw JSON request body.
+func postRaw(t *testing.T, ts *httptest.Server, body []byte) (api.JobStatus, int, string) {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -134,21 +140,35 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	cases := []struct {
 		name string
 		req  api.JobRequest
+		raw  string // when set, posted verbatim instead of req
 		want string // substring of the error body
 	}{
-		{"schema mismatch", api.JobRequest{Schema: "pimmu-serve/v0", Experiment: "fig8"}, api.SchemaVersion},
-		{"schema missing", api.JobRequest{Experiment: "fig8"}, api.SchemaVersion},
-		{"unknown experiment near miss", api.JobRequest{Schema: api.SchemaVersion, Experiment: "headlin"},
+		{"schema mismatch", api.JobRequest{Schema: "pimmu-serve/v0", Experiment: "fig8"}, "", api.SchemaVersion},
+		{"schema missing", api.JobRequest{Experiment: "fig8"}, "", api.SchemaVersion},
+		{"v1 schema", api.JobRequest{Schema: "pimmu-serve/v1", Experiment: "fig8"}, "", api.SchemaVersion},
+		// The retired lane-engine fields are unknown fields under v2:
+		// rejected, never silently ignored.
+		{"bad shards", api.JobRequest{},
+			`{"schema":"` + api.SchemaVersion + `","experiment":"fig8","shards":"4"}`, `unknown field \"shards\"`},
+		{"core lanes require shards", api.JobRequest{},
+			`{"schema":"` + api.SchemaVersion + `","experiment":"fig8","core_lanes":"2"}`, `unknown field \"core_lanes\"`},
+		{"unknown experiment near miss", api.JobRequest{Schema: api.SchemaVersion, Experiment: "headlin"}, "",
 			`did you mean \"headline\"?`},
-		{"bad scale", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "huge"}, "unknown scale"},
-		{"bad shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "many"}, "shards"},
-		{"core lanes require shards", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", CoreLanes: "2"}, "CoreLanes"},
-		{"bad cache mode", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Cache: "maybe"}, "cache mode"},
-		{"negative workers", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Workers: -1}, "workers"},
+		{"bad scale", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "huge"}, "", "unknown scale"},
+		{"bad cache mode", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Cache: "maybe"}, "", "cache mode"},
+		{"negative workers", api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Workers: -1}, "", "workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, code, body := postJob(t, ts, tc.req)
+			var (
+				code int
+				body string
+			)
+			if tc.raw != "" {
+				_, code, body = postRaw(t, ts, []byte(tc.raw))
+			} else {
+				_, code, body = postJob(t, ts, tc.req)
+			}
 			if code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400\n%s", code, body)
 			}
@@ -248,10 +268,10 @@ func TestServeStaticExperiment(t *testing.T) {
 
 // TestServeDedupAndTopologyIdentity is the acceptance test: a cold
 // submit simulates once; concurrent identical submissions share that
-// one job; warm resubmits — including from a fresh server process at a
-// different lane topology — serve the stored payload with zero
-// additional simulations; and a cold recompute at a different topology
-// yields byte-identical response bodies.
+// one job; warm resubmits — including from a fresh server process with a
+// different sweep topology (worker count) — serve the stored payload
+// with zero additional simulations; and a cold recompute at a different
+// worker count yields byte-identical response bodies.
 func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; skipped in -short")
@@ -259,7 +279,7 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	pinVersion(t, "serve-test-dedup")
 	store := openStore(t, t.TempDir())
 	ts := startServer(t, Config{Store: store, MaxActive: 2})
-	req := api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "quick", Shards: "1"}
+	req := api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Scale: "quick", Workers: 1}
 
 	// Two concurrent identical submissions: exactly one creates the job,
 	// the other attaches to it (whichever order the server serializes
@@ -322,19 +342,17 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 	}
 
 	// Warm resubmit from a fresh server process sharing the store, at a
-	// different topology and worker count: the serve key is topology-
-	// neutral, so the stored payload serves without simulating.
+	// different worker count: the serve key does not depend on it, so
+	// the stored payload serves without simulating.
 	ts2 := startServer(t, Config{Store: store})
 	req2 := req
-	req2.Shards = "4"
-	req2.CoreLanes = "2"
 	req2.Workers = 2
 	st2, code, body := postJob(t, ts2, req2)
 	if code != http.StatusOK {
-		t.Fatalf("cross-topology warm submit status %d: %s", code, body)
+		t.Fatalf("cross-worker warm submit status %d: %s", code, body)
 	}
 	if !st2.Cached || st2.State != api.StateDone {
-		t.Fatalf("cross-topology warm submit not served from store: %+v", st2)
+		t.Fatalf("cross-worker warm submit not served from store: %+v", st2)
 	}
 	warmBody := fetchResult(t, ts2, st2.ID)
 	if !bytes.Equal(cold, warmBody) {
@@ -344,20 +362,20 @@ func TestServeDedupAndTopologyIdentity(t *testing.T) {
 		t.Fatalf("warm serving wrote %d new entries", got-coldStores)
 	}
 
-	// Cold recompute at a different topology (fresh store, so nothing
+	// Cold recompute at a different worker count (fresh store, so nothing
 	// can be served): the response body must be byte-identical — the
 	// determinism contract, visible at the API boundary.
 	ts3 := startServer(t, Config{Store: openStore(t, t.TempDir())})
 	st3, code, body := postJob(t, ts3, req2)
 	if code != http.StatusAccepted {
-		t.Fatalf("cold cross-topology submit status %d: %s", code, body)
+		t.Fatalf("cold cross-worker submit status %d: %s", code, body)
 	}
 	if f := waitDone(t, ts3, st3.ID); f.State != api.StateDone {
-		t.Fatalf("cross-topology job failed: %+v", f)
+		t.Fatalf("cross-worker job failed: %+v", f)
 	}
 	recomputed := fetchResult(t, ts3, st3.ID)
 	if !bytes.Equal(cold, recomputed) {
-		t.Fatalf("recomputed body at shards=4/core-lanes=2 differs from shards=1 body:\n%s\n%s",
+		t.Fatalf("recomputed body at workers=2 differs from workers=1 body:\n%s\n%s",
 			cold, recomputed)
 	}
 }
@@ -412,7 +430,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	first, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "1"})
+	first, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8"})
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit status %d: %s", code, body)
 	}
@@ -443,7 +461,7 @@ func TestServeEventsStreamProgress(t *testing.T) {
 	}
 	pinVersion(t, "serve-test-events")
 	ts := startServer(t, Config{Store: openStore(t, t.TempDir())})
-	st, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8", Shards: "1"})
+	st, code, body := postJob(t, ts, api.JobRequest{Schema: api.SchemaVersion, Experiment: "fig8"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", code, body)
 	}

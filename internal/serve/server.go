@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service front end: an HTTP
-// server that accepts experiment jobs — (experiment, scale, runner
-// topology, cache mode) — validates them against the harness registry,
+// server that accepts experiment jobs — (experiment, scale, worker
+// count, cache mode) — validates them against the harness registry,
 // dedupes identical in-flight and completed submissions through the
 // content-addressed result cache *before* they reach a worker, admission-
 // controls a bounded sweep-backed worker pool, and streams per-job
@@ -8,15 +8,14 @@
 //
 // The serving contract rides the repository's two load-bearing
 // invariants. Determinism: identical (experiment, scale, config) inputs
-// produce byte-identical results at every worker count and lane
-// topology, so a cached payload is indistinguishable from a fresh
-// computation and the server can serve stored bytes verbatim.
-// Content-addressed keys: a job's serve key binds the code version and
-// every planned design-point key (themselves topology-neutral since the
-// fingerprint masks result-neutral fields), so "same request" is
-// decidable before simulating — two submissions with equal keys cost
-// one simulation, whether they arrive concurrently (single-flight on
-// the in-flight job) or a week apart (the completed-result store).
+// produce byte-identical results at every worker count, so a cached
+// payload is indistinguishable from a fresh computation and the server
+// can serve stored bytes verbatim. Content-addressed keys: a job's serve
+// key binds the code version and every planned design-point key (none
+// of which depends on the worker count), so "same request" is decidable
+// before simulating — two submissions with equal keys cost one
+// simulation, whether they arrive concurrently (single-flight on the
+// in-flight job) or a week apart (the completed-result store).
 //
 // This package deliberately never imports internal/system (enforced by
 // cmd/pimmu-lint): the harness Runner is its only path to simulation.
@@ -140,10 +139,6 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 	if err != nil {
 		return a, err
 	}
-	sh, cl, _, err := harness.ResolveTopology(req.Shards, req.CoreLanes)
-	if err != nil {
-		return a, err
-	}
 	mode := req.Cache
 	if mode == "" {
 		mode = "rw"
@@ -160,7 +155,7 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 		workers = s.cfg.Workers
 	}
 	a.exp, a.sc = exp, sc
-	a.runner = &harness.Runner{Shards: sh, CoreLanes: cl, Workers: workers}
+	a.runner = &harness.Runner{Workers: workers}
 	a.plan = exp.Plan(a.runner, sc)
 	a.key = serveKey(exp.Name, sc, a.plan)
 	a.mode = parsedMode
@@ -170,9 +165,8 @@ func (s *Server) validate(req api.JobRequest) (accepted, error) {
 
 // serveKey is the dedup identity of one submission: the code version,
 // the experiment, the scale, and every planned design-point key. Plan
-// keys are topology-neutral (the config fingerprint masks result-
-// neutral fields), so submissions differing only in shards/core-lanes/
-// workers share a key — and therefore a simulation.
+// keys do not depend on the worker count, so submissions differing only
+// in workers share a key — and therefore a simulation.
 func serveKey(experiment string, sc harness.Scale, p harness.Plan) string {
 	keys := make([]string, len(p.Jobs))
 	for i, j := range p.Jobs {
@@ -202,7 +196,9 @@ func (s *Server) pointCache(mode resultcache.Mode) sweep.Cache {
 // newly started job, 400 for invalid requests, 429 over capacity.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}

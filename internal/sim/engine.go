@@ -6,9 +6,8 @@
 // Determinism is guaranteed: events at the same timestamp fire in
 // insertion order (and a reschedule counts as a fresh insertion), so
 // repeated runs of the same configuration produce bit-identical results.
-// NewSharded additionally partitions the queue into per-component lanes
-// and runs provably independent stretches of them in parallel with the
-// same determinism guarantee — see sharded.go.
+// Parallelism lives one level up, across independent machines (see
+// internal/sweep), never inside one engine.
 //
 // Two scheduling styles coexist:
 //
@@ -48,12 +47,6 @@ type Event struct {
 	at  clock.Picos
 	seq uint64
 	pos int // heap index + 1; 0 when unscheduled
-
-	// Sharded-engine fields (see sharded.go); all zero on a serial engine.
-	lane    *Lane       // owning lane once scheduled through one
-	schedAt clock.Picos // simulated time of the most recent (re)schedule
-	xseq    uint64      // frontier sequence: fresh from serial context, inherited in windows
-	mpos    int         // mailbox (crossing sub-heap) index + 1; 0 when local
 }
 
 // Init binds the handler. Calling Init on a scheduled event is a
@@ -107,20 +100,13 @@ func (te *tickerEvent) OnEvent(now clock.Picos) {
 	}
 }
 
-// Engine is the event loop. The zero value is ready to use (as a serial
-// engine; sharded engines are built with NewSharded).
+// Engine is the event loop. The zero value is ready to use.
 type Engine struct {
 	now    clock.Picos
 	seq    uint64
-	xseq   uint64 // frontier sequence counter (see sharded.go headBefore)
 	heap   []*Event
 	fired  uint64
 	freeFn *funcEvent
-
-	// shards, when non-nil, enables per-lane sharded execution: the
-	// engine's own heap becomes the host lane (lane 0) and components may
-	// claim additional lanes via NewLane. See sharded.go.
-	shards *shardSet
 }
 
 // New returns a fresh engine with its clock at time zero.
@@ -130,42 +116,18 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() clock.Picos { return e.now }
 
 // Fired reports how many events have run, a cheap progress/cost metric.
-func (e *Engine) Fired() uint64 {
-	n := e.fired
-	if e.shards != nil {
-		for _, l := range e.shards.lanes {
-			n += l.fired
-		}
-	}
-	return n
-}
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled events not yet fired.
-func (e *Engine) Pending() int {
-	n := len(e.heap)
-	if e.shards != nil {
-		for _, l := range e.shards.lanes {
-			n += len(l.heap)
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Next reports the timestamp of the earliest pending event, or clock.Never
 // when the queue is empty.
 func (e *Engine) Next() clock.Picos {
-	t := clock.Never
-	if len(e.heap) > 0 {
-		t = e.heap[0].at
+	if len(e.heap) == 0 {
+		return clock.Never
 	}
-	if e.shards != nil {
-		for _, l := range e.shards.lanes {
-			if len(l.heap) > 0 && l.heap[0].at < t {
-				t = l.heap[0].at
-			}
-		}
-	}
-	return t
+	return e.heap[0].at
 }
 
 // Schedule places ev in the queue at absolute time t, binding the event to
@@ -175,12 +137,6 @@ func (e *Engine) Next() clock.Picos {
 // in the past (or with no handler bound) is a programming error and
 // panics: silently reordering time would corrupt the DRAM timing model.
 func (e *Engine) Schedule(ev *Event, t clock.Picos) {
-	if ev.lane != nil {
-		// The event belongs to a lane; keep it there (host code touching a
-		// lane event counts as a crossing).
-		ev.lane.Schedule(ev, t)
-		return
-	}
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
@@ -188,11 +144,8 @@ func (e *Engine) Schedule(ev *Event, t clock.Picos) {
 		panic("sim: event with no handler (missing Init)")
 	}
 	e.seq++
-	e.xseq++
 	ev.at = t
 	ev.seq = e.seq
-	ev.schedAt = e.now
-	ev.xseq = e.xseq
 	if ev.pos == 0 {
 		e.heap = append(e.heap, ev)
 		ev.pos = len(e.heap)
@@ -212,17 +165,9 @@ func (e *Engine) ScheduleAfter(ev *Event, d clock.Picos) { e.Schedule(ev, e.now+
 
 // Cancel removes ev from the queue. Canceling an unscheduled event is a
 // no-op, so components may cancel defensively.
-func (e *Engine) Cancel(ev *Event) {
-	if ev.lane != nil {
-		ev.lane.Cancel(ev)
-		return
-	}
-	evHeapRemove(&e.heap, ev)
-}
+func (e *Engine) Cancel(ev *Event) { evHeapRemove(&e.heap, ev) }
 
-// evLess orders a heap: earliest timestamp first, FIFO among equals.
-// Within one heap (the host's or one lane's) seq is assigned serially, so
-// this is exactly the serial engine's firing order.
+// evLess orders the heap: earliest timestamp first, FIFO among equals.
 func evLess(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -277,7 +222,7 @@ func evSiftDown(h []*Event, i int) {
 	ev.pos = i + 1
 }
 
-// evHeapRemove removes a scheduled event from its heap by index.
+// evHeapRemove removes a scheduled event from the heap by index.
 func evHeapRemove(hp *[]*Event, ev *Event) {
 	if ev.pos == 0 {
 		return
@@ -335,13 +280,9 @@ func (e *Engine) At(t clock.Picos, fn func()) {
 // After schedules fn to run d picoseconds from now.
 func (e *Engine) After(d clock.Picos, fn func()) { e.At(e.now+d, fn) }
 
-// Step fires the single earliest event (on a sharded engine: one serial
-// frontier event, or one whole conservative window of shard-local events).
-// It reports false when no events remain.
+// Step fires the single earliest event. It reports false when no events
+// remain.
 func (e *Engine) Step() bool {
-	if e.shards != nil {
-		return e.shardedStep(clock.Never)
-	}
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -354,9 +295,6 @@ func (e *Engine) Step() bool {
 
 // Run fires events until the queue drains.
 func (e *Engine) Run() {
-	if e.shards != nil {
-		defer e.enterRun()()
-	}
 	for e.Step() {
 	}
 }
@@ -364,14 +302,8 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= deadline, leaving later events
 // queued. The engine clock ends at the deadline.
 func (e *Engine) RunUntil(deadline clock.Picos) {
-	if e.shards != nil {
-		defer e.enterRun()()
-		for e.shardedStep(deadline) {
-		}
-	} else {
-		for len(e.heap) > 0 && e.heap[0].at <= deadline {
-			e.Step()
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -379,34 +311,9 @@ func (e *Engine) RunUntil(deadline clock.Picos) {
 }
 
 // RunWhile fires events until cond reports false or the queue drains.
-// cond is checked after every step. On a sharded engine one step may fire
-// a whole window of shard-local events, so cond must depend only on
-// host-lane state (completion flags, callback-set results): host state
-// only ever changes at the serial frontier, where cond is evaluated after
-// every event exactly like the serial engine. A condition that reads
-// component state a window batches past — queue occupancies, channel
-// counters — must use RunWhileSerial instead, or shard counts could
-// disagree on where it stopped.
+// cond is checked before every step.
 func (e *Engine) RunWhile(cond func() bool) {
-	if e.shards != nil {
-		defer e.enterRun()()
-	}
 	for cond() && e.Step() {
-	}
-}
-
-// RunWhileSerial is RunWhile with window execution disabled: every event
-// fires one at a time with cond evaluated between events, on any engine.
-// Use it when cond reads state that shard-local events mutate; the serial
-// stop point is then identical across shard counts (at the cost of no
-// parallelism, so keep it to short phases such as queue drains).
-func (e *Engine) RunWhileSerial(cond func() bool) {
-	if e.shards == nil {
-		for cond() && e.Step() {
-		}
-		return
-	}
-	for cond() && e.serialStep(clock.Never) {
 	}
 }
 

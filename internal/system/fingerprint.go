@@ -4,66 +4,25 @@ import "repro/internal/resultcache"
 
 // configSchema versions the fingerprint derivation itself; bump it when
 // the meaning of an existing field changes without its name or type
-// changing (the canonical encoding cannot see that), or when the
-// neutral-field mask changes (the encoding of the remaining fields
-// stays the same, so only the schema tag separates old keys from new).
+// changing (the canonical encoding cannot see that), or when fields leave
+// the encoding.
 //
-// v2: Shards and CoreLanes left the encoding (neutralFields below);
-// caches warmed under v1 never hit again — prune them with
-// `pimmu-sim -cache-gc` after a code-version bump, or leave them to
-// age out.
-const configSchema = "system.Config/v2"
-
-// neutralFields are the Config fields excluded from the fingerprint
-// because they are proven result-neutral: the cross-topology
-// determinism suite (sharded_test.go, plus the slow-tier experiment
-// audit) pins byte-identical output across every CoreLanes value and
-// every Shards value >= 1 including Auto. Worker counts never appear
-// here because they are not Config fields at all — parallelism level
-// (harness.Runner.Workers, sweep.SetWorkers) lives outside the
-// simulated machine's configuration.
-//
-// Shards is masked but not ignored: the plain serial engine (Shards ==
-// 0) may break same-instant event ties differently from any sharded
-// engine on CPU-streaming workloads, so Fingerprint folds the engine
-// class — plain vs sharded — back into the key below. SeriesWindow
-// (Mem.*.SeriesWindow) is deliberately NOT masked: it changes what the
-// simulation records (per-channel bandwidth series on or off), so two
-// configs differing there do not compute the same result payload.
-var neutralFields = resultcache.Mask{
-	"Shards":    true,
-	"CoreLanes": true,
-}
-
-// engineClass projects Shards onto the only distinction that can reach
-// results: whether the machine runs the plain serial engine or a
-// sharded one. Auto (-1) normalizes to a host-sized shard count >= 1,
-// so it is sharded.
-func (c Config) engineClass() string {
-	if c.Shards == 0 {
-		return "plain"
-	}
-	return "sharded"
-}
+// v3: the parallel event-engine settings left Config (and cpu.Config),
+// so the encoding and the key layout changed. Caches warmed under v2 never hit again — prune them with
+// `pimmu-sim -cache-gc` after a code-version bump, or leave them to age
+// out.
+const configSchema = "system.Config/v3"
 
 // Fingerprint returns a stable content digest of the configuration:
 // every exported field — recursively, covering the memory system, CPU,
-// PIM geometry, DCE, energy model, transfer engines, design point, and
-// lane topology settings — is canonically encoded and hashed, except
-// the result-neutral lane-topology knobs (neutralFields). Two configs
-// share a fingerprint iff every result-affecting field agrees (proven
-// per-field by the reflection-based sensitivity test), so the
-// fingerprint is a sound cache-key component for any result that is a
-// pure function of the machine: by the determinism contract, that is
-// every simulation result.
-//
-// Shards and CoreLanes are masked out precisely because results are
-// byte-identical across lane topologies (sharded_test.go pins that):
-// a cache warmed at -shards 1 serves renders at -shards 4 -core-lanes
-// auto without re-simulating. The one residual distinction — the plain
-// serial engine can order same-instant ties differently than any
-// sharded engine — survives as the engine-class key part.
+// PIM geometry, DCE, energy model, transfer engines and design point —
+// is canonically encoded and hashed. Two configs share a fingerprint iff
+// every field agrees (proven per-field by the reflection-based
+// sensitivity test), so the fingerprint is a sound cache-key component
+// for any result that is a pure function of the machine: by the
+// determinism contract, that is every simulation result. Parallelism
+// (harness.Runner.Workers) is not a Config field, so it never reaches
+// the key.
 func (c Config) Fingerprint() string {
-	return resultcache.KeyOf(configSchema, c.engineClass(),
-		string(resultcache.CanonicalMasked(c, neutralFields)))
+	return resultcache.KeyOf(configSchema, string(resultcache.Canonical(c)))
 }

@@ -22,75 +22,29 @@ func TestFingerprintStable(t *testing.T) {
 
 // TestFingerprintSensitivity proves — by reflection, so a newly added
 // field is covered automatically — that perturbing ANY exported leaf
-// field of Config changes Fingerprint(), except the declared
-// result-neutral lane-topology knobs, whose perturbation must NOT
-// change it. This is the property the result cache's soundness rests
-// on: no result-affecting configuration change can alias into a stale
-// cache entry, and no result-neutral one can force a re-simulation.
+// field of Config changes Fingerprint(). This is the property the result
+// cache's soundness rests on: no result-affecting configuration change
+// can alias into a stale cache entry.
 func TestFingerprintSensitivity(t *testing.T) {
 	cfg := DefaultConfig(PIMMMU)
-	// Start from a sharded design point so the +1 perturbation of the
-	// neutral fields stays inside the sharded engine class (0 -> 1 would
-	// legitimately change the key; see engineClass).
-	cfg.Shards, cfg.CoreLanes = 1, 2
 	base := cfg.Fingerprint()
-	neutral := map[string]bool{"Config.Shards": true, "Config.CoreLanes": true}
-	leaves, neutralLeaves := 0, 0
+	leaves := 0
 	perturbLeaves(t, reflect.ValueOf(&cfg).Elem(), "Config", func(path string) {
 		leaves++
 		got := cfg.Fingerprint()
 		if got == "" {
 			t.Errorf("perturbing %s produced an empty fingerprint", path)
 		}
-		if neutral[path] {
-			neutralLeaves++
-			if got != base {
-				t.Errorf("perturbing result-neutral %s changed the fingerprint", path)
-			}
-			return
-		}
 		if got == base {
 			t.Errorf("perturbing %s did not change the fingerprint", path)
 		}
 	})
-	if leaves < 80 {
+	if leaves < 76 {
 		t.Fatalf("walked only %d leaf fields; the config walk regressed", leaves)
-	}
-	if neutralLeaves != len(neutral) {
-		t.Fatalf("visited %d neutral leaves, want %d; the mask drifted from Config", neutralLeaves, len(neutral))
 	}
 	// Every perturbation was restored, so the fingerprint is back to base.
 	if cfg.Fingerprint() != base {
 		t.Fatal("perturbation restore leaked state")
-	}
-}
-
-// TestFingerprintResultNeutralFields pins the cross-topology reuse
-// contract directly: every sharded lane topology — any Shards >= 1
-// including Auto, any CoreLanes including Auto — shares one
-// fingerprint, while the plain serial engine (Shards == 0) keeps its
-// own. sharded_test.go proves the byte-identical results that make the
-// sharing sound.
-func TestFingerprintResultNeutralFields(t *testing.T) {
-	ref := DefaultConfig(PIMMMU)
-	ref.Shards = 1
-	base := ref.Fingerprint()
-	for _, tc := range []struct{ shards, coreLanes int }{
-		{1, 0}, {1, 1}, {1, 4}, {4, 0}, {4, 4}, {Auto, Auto}, {2, Auto}, {Auto, 0},
-	} {
-		cfg := DefaultConfig(PIMMMU)
-		cfg.Shards, cfg.CoreLanes = tc.shards, tc.coreLanes
-		if got := cfg.Fingerprint(); got != base {
-			t.Errorf("shards=%d core-lanes=%d: fingerprint %s != sharded base %s",
-				tc.shards, tc.coreLanes, got, base)
-		}
-	}
-	plain := DefaultConfig(PIMMMU) // Shards = 0: the plain serial engine
-	if plain.Shards != 0 {
-		t.Fatalf("DefaultConfig no longer defaults to the plain engine (Shards=%d); update this test", plain.Shards)
-	}
-	if plain.Fingerprint() == base {
-		t.Error("plain engine shares the sharded fingerprint; same-instant tie order may differ (see Config.Shards)")
 	}
 }
 

@@ -1,238 +1,204 @@
-// Cross-shard invariant tests: a sharded machine must be indistinguishable
-// from a serial one in everything but wall-clock time, at every point of
-// its lane topology. The DDR4 channels only interact with the rest of the
-// machine at request enqueue/complete boundaries, CPU cores only through
-// the LLC and the scheduler quantum, and the sharded engine fires every
-// such crossing serially at its frontier, so the command stream each
-// channel issues — and every metric derived from it — must be
-// byte-identical across shard counts AND across core-lane counts,
-// including combined channel x core topologies.
+// Sweep-sharding invariant tests: a sweep shards its design points
+// across worker goroutines (sweep.MapN), each job building and running
+// its own machine on its own event engine. A machine's results must not
+// depend on that split — on whether it ran alone or next to other
+// machines on other goroutines — so every test here runs the same jobs
+// as one shard (one worker) and sharded across several workers, and
+// requires the results to match field for field. Each test covers a
+// path the transfer, golden and synthetic-replay sweep checks do not:
+// unlike workloads sharing one pool, contended transfers, non-cacheable
+// replay, the open-loop driver, the trace-driven experiments, and the
+// PIM-region replay path.
 package pimmmu_test
 
 import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/contend"
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/dram"
 	"repro/internal/harness"
 	"repro/internal/mem"
+	"repro/internal/sweep"
 	"repro/internal/system"
 	"repro/internal/trace"
 )
 
-// laneTopo is one point of the lane-topology axis.
-type laneTopo struct{ shards, coreLanes int }
+// sweepShards is the worker count of the sharded side of every check.
+const sweepShards = 4
 
-func (lt laneTopo) String() string {
-	n := func(v int) string {
-		if v == system.Auto {
-			return "auto"
-		}
-		return fmt.Sprintf("%d", v)
-	}
-	return fmt.Sprintf("shards=%s,core-lanes=%s", n(lt.shards), n(lt.coreLanes))
+// shardedRuns runs n jobs as one shard and sharded across sweepShards
+// workers, returning both result sets in index order.
+func shardedRuns[R any](n int, job func(i int) R) (serial, sharded []R) {
+	return sweep.MapN(n, 1, job), sweep.MapN(n, sweepShards, job)
 }
 
-// laneTopos is the topology axis every invariant is checked across: the
-// plain serial engine (0,0); the sharded queue executed serially with
-// core-lane counts 0/1/2/4 (per the acceptance contract, including
-// lane-sharing partitions of the 8 cores); and combined channel x core
-// window execution at 2 and 4 workers up to one lane per core; and the
-// adaptive auto sizing (shards and core lanes resolved per host by
-// Normalize, window thresholds tuned at run time by the controller). The
-// first entry is the reference; everything after must match it bit for
-// bit.
-var laneTopos = []laneTopo{
-	{0, 0},
-	{1, 0},
-	{1, 1},
-	{1, 2},
-	{1, 4},
-	{2, 2},
-	{2, 4},
-	{4, 8},
-	{system.Auto, system.Auto},
-}
-
-// shardCounts is the legacy shard-only axis kept for workloads where the
-// core-lane dimension is redundant (no CPU threads run at all).
-var shardCounts = []int{0, 1, 2, 4}
-
-// TestShardedCommandStreamIdentical pins the tentpole's hard requirement:
-// the full per-channel DDR4 command stream of a transfer (the golden-test
-// rendering) is byte-identical between the plain engine and every lane
-// topology — shard counts, core-lane counts, and combinations — for both
-// the software-baseline (CPU-thread-heavy) and the PIM-MMU design.
+// TestShardedCommandStreamIdentical renders unlike workloads — the
+// Base and PIM-MMU transfer command streams and the contender-heavy
+// stream — in one sweep, so different machines share the worker pool,
+// and requires every rendering to be byte-identical to its one-shard
+// run.
 func TestShardedCommandStreamIdentical(t *testing.T) {
-	for _, d := range []system.Design{system.Base, system.PIMMMU} {
-		want := commandStream(d, laneTopos[0].shards, laneTopos[0].coreLanes)
-		for _, lt := range laneTopos[1:] {
-			if got := commandStream(d, lt.shards, lt.coreLanes); got != want {
-				t.Errorf("%v: command stream diverged at %v\n--- serial ---\n%s--- %v ---\n%s",
-					d, lt, want, lt, got)
-			}
+	jobs := []struct {
+		name   string
+		render func() string
+	}{
+		{"base", func() string { return commandStream(system.Base) }},
+		{"pim-mmu", func() string { return commandStream(system.PIMMMU) }},
+		{"contended", contendedStream},
+	}
+	serial, sharded := shardedRuns(len(jobs), func(i int) string { return jobs[i].render() })
+	for i, j := range jobs {
+		if serial[i] != sharded[i] {
+			t.Errorf("%s: command stream diverged\n--- one shard ---\n%s--- %d shards ---\n%s",
+				j.name, serial[i], sweepShards, sharded[i])
 		}
 	}
 }
 
-// TestContendedStreamLaneTopologyIdentical is the Fig. 13-style
-// counterpart: the contender-heavy command stream (spin + memory-hog
-// threads co-located with a software transfer — the workload per-core
-// lanes exist for) must render byte-identically at every lane topology.
-func TestContendedStreamLaneTopologyIdentical(t *testing.T) {
-	want := contendedStream(laneTopos[0].shards, laneTopos[0].coreLanes)
-	for _, lt := range laneTopos[1:] {
-		if got := contendedStream(lt.shards, lt.coreLanes); got != want {
-			t.Errorf("contended stream diverged at %v\n--- serial ---\n%s--- %v ---\n%s",
-				lt, want, lt, got)
-		}
-	}
-}
-
-// TestShardedReplayResultIdentical replays one synthetic trace on machines
-// at every lane topology and requires the full trace.Result — counts,
-// bytes, timestamps, latency sum and histogram, backpressure metrics — to
-// match field for field.
+// TestShardedReplayResultIdentical replays synthetic traces through the
+// non-cacheable DRAM path with a tight in-flight window (so the
+// backpressure metrics are exercised) and requires the full
+// trace.Result — counts, bytes, timestamps, latency sum and histogram,
+// backpressure — to match field for field.
 func TestShardedReplayResultIdentical(t *testing.T) {
+	patterns := []trace.Pattern{trace.PatternStream, trace.PatternChase}
+	designs := []system.Design{system.Base, system.PIMMMU}
+	g := sweep.NewGrid(len(patterns), len(designs))
 	gen := trace.DefaultGenConfig()
 	gen.Records = 1 << 11
 	gen.FootprintLines = 1 << 14
-	results := make([]trace.Result, len(laneTopos))
-	for i, lt := range laneTopos {
-		cfg := system.DefaultConfig(system.PIMMMU)
-		cfg.Shards = lt.shards
-		cfg.CoreLanes = lt.coreLanes
-		s := system.MustNew(cfg)
-		g := gen
-		g.Base = s.Alloc(g.FootprintBytes(trace.PatternMixed))
-		recs := trace.MustGenerate(trace.PatternMixed, g)
-		r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
+	rcfg := trace.DefaultReplayConfig()
+	rcfg.MaxInFlight = 8
+	rcfg.Cacheable = false
+	serial, sharded := shardedRuns(g.Size(), func(i int) trace.Result {
+		s := system.MustNew(system.DefaultConfig(designs[g.Coord(i, 1)]))
+		gc := gen
+		p := patterns[g.Coord(i, 0)]
+		gc.Base = s.Alloc(gc.FootprintBytes(p))
+		r, err := s.RunReplay(trace.MustGenerate(p, gc), rcfg)
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		results[i] = r
-	}
-	for i, lt := range laneTopos[1:] {
-		if !reflect.DeepEqual(results[i+1], results[0]) {
-			t.Errorf("trace.Result diverged at %v:\nserial: %+v\nsharded: %+v",
-				lt, results[0], results[i+1])
+		return r
+	})
+	for i := range serial {
+		p, d := patterns[g.Coord(i, 0)], designs[g.Coord(i, 1)]
+		if serial[i].Completed != uint64(gen.Records) {
+			t.Errorf("%s on %v: completed %d of %d records", p, d, serial[i].Completed, gen.Records)
+		}
+		if !reflect.DeepEqual(serial[i], sharded[i]) {
+			t.Errorf("%s on %v: trace.Result diverged:\none shard: %+v\nsharded:   %+v",
+				p, d, serial[i], sharded[i])
 		}
 	}
 }
 
-// TestShardedLoadResultIdentical drives one open-loop Poisson point on
-// machines at every lane topology and requires the full trace.LoadResult
-// — arrival/issue/completion counts, the queue/service/total latency
-// split with all three histograms, and the backpressure metrics — to
-// match field for field.
+// TestShardedLoadResultIdentical drives open-loop Poisson points on both
+// designs at two offered loads and requires the full trace.LoadResult —
+// arrival/issue/completion counts, the queue/service/total latency split
+// with all three histograms, and the backpressure metrics — to match
+// field for field.
 func TestShardedLoadResultIdentical(t *testing.T) {
+	designs := []system.Design{system.Base, system.PIMMMU}
+	gaps := []clock.Picos{4 * clock.Nanosecond, 16 * clock.Nanosecond}
+	g := sweep.NewGrid(len(designs), len(gaps))
 	gen := trace.DefaultGenConfig()
 	gen.Records = 1 << 11
 	gen.FootprintLines = 1 << 14
-	dcfg := trace.DefaultDriverConfig()
-	dcfg.MeanGap = 4 * clock.Nanosecond
-	dcfg.Duration = 8 * clock.Microsecond
-	results := make([]trace.LoadResult, len(laneTopos))
-	for i, lt := range laneTopos {
-		cfg := system.DefaultConfig(system.PIMMMU)
-		cfg.Shards = lt.shards
-		cfg.CoreLanes = lt.coreLanes
-		s := system.MustNew(cfg)
-		g := gen
-		g.Base = s.Alloc(g.FootprintBytes(trace.PatternMixed))
-		recs := trace.MustGenerate(trace.PatternMixed, g)
-		r, err := s.RunLoad(recs, dcfg)
+	serial, sharded := shardedRuns(g.Size(), func(i int) trace.LoadResult {
+		s := system.MustNew(system.DefaultConfig(designs[g.Coord(i, 0)]))
+		gc := gen
+		gc.Base = s.Alloc(gc.FootprintBytes(trace.PatternMixed))
+		dcfg := trace.DefaultDriverConfig()
+		dcfg.MeanGap = gaps[g.Coord(i, 1)]
+		dcfg.Duration = 8 * clock.Microsecond
+		r, err := s.RunLoad(trace.MustGenerate(trace.PatternMixed, gc), dcfg)
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		results[i] = r
-	}
-	for i, lt := range laneTopos[1:] {
-		if !reflect.DeepEqual(results[i+1], results[0]) {
-			t.Errorf("trace.LoadResult diverged at %v:\nserial: %+v\nsharded: %+v",
-				lt, results[0], results[i+1])
+		return r
+	})
+	for i := range serial {
+		d, gap := designs[g.Coord(i, 0)], gaps[g.Coord(i, 1)]
+		if serial[i].Completed == 0 {
+			t.Errorf("%v gap %v: no request completed", d, gap)
+		}
+		if !reflect.DeepEqual(serial[i], sharded[i]) {
+			t.Errorf("%v gap %v: trace.LoadResult diverged:\none shard: %+v\nsharded:   %+v",
+				d, gap, serial[i], sharded[i])
 		}
 	}
 }
 
-// TestShardedTransferMetricsIdentical runs a mid-size DCE transfer at
-// every lane topology and compares the transfer result plus the aggregate
-// channel statistics on both device sets.
+// TestShardedTransferMetricsIdentical runs transfers co-located with
+// spin contenders — CPU threads, the transfer engine and the memory
+// system all active at once — on both designs in both directions, and
+// compares the transfer result plus every channel and LLC counter.
 func TestShardedTransferMetricsIdentical(t *testing.T) {
-	type snapshot struct {
-		res                  system.XferResult
-		dramRead, dramWrite  uint64
-		pimRead, pimWrite    uint64
-		dramCAS, pimCAS      uint64
-		dramActs, pimActs    uint64
-		fired                uint64
-		hitQFullRetries      uint64
-		pimChannelRowHits    []uint64
-		pimChannelQueueFulls []uint64
-	}
-	run := func(lt laneTopo) snapshot {
-		cfg := system.DefaultConfig(system.PIMMMU)
-		cfg.Shards = lt.shards
-		cfg.CoreLanes = lt.coreLanes
-		s := system.MustNew(cfg)
-		per := (1 << 20) / uint64(s.Cfg.PIM.NumCores()) &^ 63
-		res := s.RunTransfer(s.TransferOp(0, s.Cfg.PIM.NumCores(), per))
-		ds, ps := s.Mem.DRAM.Stats(), s.Mem.PIM.Stats()
-		snap := snapshot{
-			res:      res,
-			dramRead: ds.BytesRead(), dramWrite: ds.BytesWritten(),
-			pimRead: ps.BytesRead(), pimWrite: ps.BytesWritten(),
-			dramCAS: ds.CAS(), pimCAS: ps.CAS(),
-			dramActs: ds.Acts(), pimActs: ps.Acts(),
-			fired: s.Eng.Fired(),
-		}
-		for _, c := range ps.Channels {
-			snap.hitQFullRetries += c.QueueFull
-			snap.pimChannelRowHits = append(snap.pimChannelRowHits, c.RowHits)
-			snap.pimChannelQueueFulls = append(snap.pimChannelQueueFulls, c.QueueFull)
-		}
-		return snap
-	}
-	want := run(laneTopos[0])
-	for _, lt := range laneTopos[1:] {
-		if got := run(lt); !reflect.DeepEqual(got, want) {
-			t.Errorf("transfer metrics diverged at %v:\nserial:  %+v\nsharded: %+v",
-				lt, want, got)
+	designs := []system.Design{system.Base, system.PIMMMU}
+	dirs := []core.Direction{core.DRAMToPIM, core.PIMToDRAM}
+	g := sweep.NewGrid(len(designs), len(dirs))
+	serial, sharded := shardedRuns(g.Size(), func(i int) string {
+		s := system.MustNew(system.DefaultConfig(designs[g.Coord(i, 0)]))
+		const nSpin, wset = 4, 16 << 10
+		spinBase := s.Alloc(nSpin * wset)
+		st := s.Contenders(nSpin, func(k int, st *contend.Stopper) cpu.Program {
+			return contend.Spin(st, spinBase+uint64(k)*wset)
+		})
+		per := (256 << 10) / uint64(s.Cfg.PIM.NumCores()) &^ 63
+		res := s.RunTransfer(s.TransferOp(dirs[g.Coord(i, 1)], s.Cfg.PIM.NumCores(), per))
+		st.Stop()
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v\n", res)
+		machineFingerprint(&b, s)
+		return b.String()
+	})
+	for i := range serial {
+		if serial[i] != sharded[i] {
+			t.Errorf("%v %v: contended transfer metrics diverged\n--- one shard ---\n%s--- %d shards ---\n%s",
+				designs[g.Coord(i, 0)], dirs[g.Coord(i, 1)], serial[i], sweepShards, sharded[i])
 		}
 	}
 }
 
-// TestShardedExperimentOutputIdentical renders one full harness experiment
-// serially and sharded (with core lanes); the printed artifact must not
-// change.
+// TestShardedExperimentOutputIdentical renders the trace-driven harness
+// experiments (replay and loadcurve) with the sweep run as one shard and
+// sharded; the printed artifacts must not change. Fig8 has the same
+// tier-1 check in determinism_test.go.
 func TestShardedExperimentOutputIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment render in -short mode")
 	}
-	fig8, ok := harness.ByName("fig8")
-	if !ok {
-		t.Fatal("fig8 experiment not registered")
-	}
-	render := func(shards, coreLanes int) string {
-		r := &harness.Runner{Shards: shards, CoreLanes: coreLanes}
-		var b bytes.Buffer
-		r.Run(fig8, &b, harness.Quick)
-		return b.String()
-	}
-	want := render(1, 0)
-	for _, lt := range []laneTopo{{2, 0}, {2, 4}, {4, 8}} {
-		if got := render(lt.shards, lt.coreLanes); got != want {
-			t.Errorf("fig8 output diverged at %v\n--- serial ---\n%s--- %v ---\n%s",
-				lt, want, lt, got)
+	for _, name := range []string{"replay", "loadcurve"} {
+		e, ok := harness.ByName(name)
+		if !ok {
+			t.Fatalf("%s experiment not registered", name)
+		}
+		render := func(workers int) []byte {
+			r := &harness.Runner{Workers: workers}
+			var b bytes.Buffer
+			r.Run(e, &b, harness.Quick)
+			return b.Bytes()
+		}
+		if want, got := render(1), render(sweepShards); !bytes.Equal(want, got) {
+			t.Errorf("%s output diverged\n--- one shard ---\n%s--- %d shards ---\n%s",
+				name, want, sweepShards, got)
 		}
 	}
 }
 
-// TestShardedPIMRegionReplay exercises the non-cacheable PIM-region path
-// (no LLC in front of the channels) across shard counts; no CPU threads
-// run, so the core-lane axis is redundant here.
+// TestShardedPIMRegionReplay covers the non-cacheable PIM-region replay
+// path (no LLC in front of the channels): every PIM channel runs under
+// the independent JEDEC checker with zero violations allowed, and the
+// one-shard and sharded sweeps of the same replays return identical
+// results.
 func TestShardedPIMRegionReplay(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.Records = 1 << 10
@@ -240,20 +206,43 @@ func TestShardedPIMRegionReplay(t *testing.T) {
 	gen.Base = mem.PIMBase
 	gen.WritePercent = 100
 	recs := trace.MustGenerate(trace.PatternMixed, gen)
-	var want trace.Result
-	for i, shards := range shardCounts {
-		cfg := system.DefaultConfig(system.Base)
-		cfg.Shards = shards
+	designs := []system.Design{system.Base, system.PIMMMU}
+
+	type outcome struct {
+		res        trace.Result
+		violations []string
+	}
+	serial, sharded := shardedRuns(len(designs), func(i int) outcome {
+		cfg := system.DefaultConfig(designs[i])
 		s := system.MustNew(cfg)
+		checkers := make([]*dram.Checker, cfg.Mem.PIM.Geometry.Channels)
+		for ch := range checkers {
+			checkers[ch] = dram.NewChecker(cfg.Mem.PIM)
+			s.Mem.PIM.Channel(ch).Observe(checkers[ch])
+		}
 		r, err := s.RunReplay(recs, trace.DefaultReplayConfig())
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		if i == 0 {
-			want = r
-		} else if !reflect.DeepEqual(r, want) {
-			t.Errorf("PIM-region replay diverged at %d shards:\nserial: %+v\nsharded: %+v",
-				shards, want, r)
+		var out outcome
+		out.res = r
+		for _, c := range checkers {
+			out.violations = append(out.violations, c.Violations()...)
+		}
+		return out
+	})
+	for i, d := range designs {
+		got := serial[i]
+		if n := len(got.violations); n != 0 {
+			t.Errorf("%v: %d JEDEC violations, first: %s", d, n, got.violations[0])
+		}
+		if got.res.Completed != uint64(len(recs)) || got.res.BytesWritten == 0 {
+			t.Errorf("%v: replay completed %d of %d requests, wrote %d bytes",
+				d, got.res.Completed, len(recs), got.res.BytesWritten)
+		}
+		if !reflect.DeepEqual(got.res, sharded[i].res) {
+			t.Errorf("%v: trace.Result differs between one-shard and sharded sweeps:\none shard: %+v\nsharded:   %+v",
+				d, got.res, sharded[i].res)
 		}
 	}
 }
