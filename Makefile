@@ -32,8 +32,9 @@ test-slow:
 	$(GO) test -tags slow ./...
 
 # One iteration of every paper-figure benchmark plus the event-engine
-# benchmarks (the multi-channel posted-write stream, the contender and
-# LLC-hit workloads, and the open-loop driver path), captured as
+# benchmarks (the multi-channel posted-write stream, the FR-FCFS
+# scheduler and LLC tag store on their own, the contender and LLC-hit
+# workloads, and the open-loop driver path), captured as
 # test2json streams for trend tracking. Captures
 # are written to a temp file and renamed only on success, so a failing
 # benchmark run cannot clobber the previous (committed) capture with a
@@ -44,7 +45,7 @@ BENCH_COUNT ?= 1
 
 bench:
 	$(GO) test -json -run '^$$' -bench=. -benchmem -benchtime=1x . > BENCH_figs.json.tmp
-	$(GO) test -json -run '^$$' -bench=Engine -benchmem -count=$(BENCH_COUNT) ./internal/sim ./internal/dram ./internal/system > BENCH_engine.json.tmp
+	$(GO) test -json -run '^$$' -bench=Engine -benchmem -count=$(BENCH_COUNT) ./internal/sim ./internal/dram ./internal/cache ./internal/system > BENCH_engine.json.tmp
 	mv BENCH_figs.json.tmp BENCH_figs.json
 	mv BENCH_engine.json.tmp BENCH_engine.json
 	@echo "wrote BENCH_figs.json and BENCH_engine.json"

@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -41,13 +42,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type way struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	used  uint64 // LRU timestamp
-}
-
 // Stats counts cache events.
 type Stats struct {
 	Hits       uint64
@@ -65,13 +59,17 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
-// replacement.
+// replacement. The tag store is flat and set-major: way w of set s is
+// entry s*Ways+w of tags, used and dirty.
 type Cache struct {
-	cfg     Config
-	sets    [][]way
-	setMask uint64
-	clock   uint64
-	stats   Stats
+	cfg      Config
+	tags     []uint64 // tag+1; 0 marks an invalid way
+	used     []uint64 // LRU timestamp
+	dirty    []bool
+	setMask  uint64
+	setShift uint // log2(sets): line >> setShift is the tag
+	clock    uint64
+	stats    Stats
 }
 
 // New builds a cache; it panics on invalid configuration (static).
@@ -79,33 +77,28 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nSets := cfg.SizeBytes / mem.LineBytes / cfg.Ways
-	c := &Cache{cfg: cfg, setMask: uint64(nSets - 1)}
-	c.sets = make([][]way, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
+	lines := cfg.SizeBytes / mem.LineBytes
+	nSets := lines / cfg.Ways
+	return &Cache{
+		cfg:      cfg,
+		tags:     make([]uint64, lines),
+		used:     make([]uint64, lines),
+		dirty:    make([]bool, lines),
+		setMask:  uint64(nSets - 1),
+		setShift: uint(bits.TrailingZeros(uint(nSets))),
 	}
-	return c
 }
 
 // Sets reports the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask + 1) }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index returns addr's set and the stored (tag+1) form of its tag.
+func (c *Cache) index(addr uint64) (set, key uint64) {
 	line := addr / mem.LineBytes
-	return line & c.setMask, line >> uint(popcount(c.setMask))
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
+	return line & c.setMask, line>>c.setShift + 1
 }
 
 // Result describes the outcome of an access.
@@ -121,51 +114,53 @@ type Result struct {
 // a miss allocates the line (the caller is responsible for fetching it
 // from memory) and may evict a dirty victim.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	set, tag := c.index(addr)
+	set, key := c.index(addr)
 	c.clock++
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].used = c.clock
+	base := int(set) * c.cfg.Ways
+	end := base + c.cfg.Ways
+	tags, used := c.tags[base:end], c.used[base:end]
+	for i, t := range tags {
+		if t == key {
+			used[i] = c.clock
 			if write {
-				ws[i].dirty = true
+				c.dirty[base+i] = true
 			}
 			c.stats.Hits++
 			return Result{Hit: true}
 		}
 	}
 	c.stats.Misses++
-	// Choose victim: first invalid way, else LRU.
+	// Choose victim: first invalid way, else LRU (lowest way on ties).
 	victim := 0
-	for i := range ws {
-		if !ws[i].valid {
+	for i, t := range tags {
+		if t == 0 {
 			victim = i
-			goto fill
+			break
 		}
-		if ws[i].used < ws[victim].used {
+		if used[i] < used[victim] {
 			victim = i
 		}
 	}
-fill:
 	res := Result{}
-	if ws[victim].valid {
+	if old := tags[victim]; old != 0 {
 		c.stats.Evictions++
-		if ws[victim].dirty {
+		if c.dirty[base+victim] {
 			c.stats.Writebacks++
 			res.HasWriteback = true
-			res.Writeback = c.victimAddr(set, ws[victim].tag)
+			res.Writeback = c.victimAddr(set, old-1)
 		}
 	}
-	ws[victim] = way{valid: true, dirty: write, tag: tag, used: c.clock}
+	tags[victim], used[victim], c.dirty[base+victim] = key, c.clock, write
 	return res
 }
 
 // Contains reports whether the line holding addr is cached, without
 // touching LRU state.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	set, key := c.index(addr)
+	base := int(set) * c.cfg.Ways
+	for _, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == key {
 			return true
 		}
 	}
@@ -174,5 +169,5 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // victimAddr reconstructs a line address from (set, tag).
 func (c *Cache) victimAddr(set, tag uint64) uint64 {
-	return (tag<<uint(popcount(c.setMask)) | set) * mem.LineBytes
+	return (tag<<c.setShift | set) * mem.LineBytes
 }

@@ -75,6 +75,7 @@ func (c Config) Validate() error {
 type pending struct {
 	req       *mem.Req
 	loc       addrmap.Loc
+	key       int      // loc.BankID: the request's index into Channel.banks
 	activated bool     // this request caused an ACT (row miss)
 	conflict  bool     // this request caused a PRE (row conflict)
 	next      *pending // free list
@@ -93,7 +94,7 @@ type bankState struct {
 // rankState tracks rank-scope constraints: tRRD/tFAW activation limits,
 // write-to-read turnaround, tCCD_L per bank group, and refresh.
 type rankState struct {
-	banks     []bankState // BankGroups*Banks, bank-group major
+	banks     []bankState // this rank's view of Channel.banks, bank-group major
 	nextCASbg []int64     // per bank group: earliest CAS (tCCD_L)
 	nextACTbg []int64     // per bank group: earliest ACT (tRRD_L)
 	nextACT   int64       // earliest ACT, any bank group (tRRD_S)
@@ -105,10 +106,6 @@ type rankState struct {
 	refreshDue   int64
 	refreshing   bool
 	refreshUntil int64
-}
-
-func (r *rankState) bank(l addrmap.Loc, banksPerGroup int) *bankState {
-	return &r.banks[l.BankGroup*banksPerGroup+l.Bank]
 }
 
 func (r *rankState) allClosed() bool {
@@ -138,7 +135,14 @@ type Channel struct {
 	id   int
 	name string
 
-	ranks   []*rankState
+	ranks []*rankState
+	// banks holds every bank of the channel, indexed by Loc.BankID (rank
+	// major); each rankState.banks is a sub-slice view of it.
+	banks []bankState
+	// refreshing counts ranks with a refresh in progress, so the
+	// scheduler tests a request's rank only while one is.
+	refreshing int
+
 	readQ   []*pending
 	writeQ  []*pending
 	drain   bool
@@ -151,8 +155,8 @@ type Channel struct {
 	observer Observer
 
 	// prepMark/prepGen are the scheduler's allocation-free per-tick
-	// scratch: prepMark[rank*banks+bank] == prepGen marks a bank already
-	// owned by an older request in the current scan.
+	// scratch: prepMark[key] == prepGen marks a bank already owned by an
+	// older request in the current scan.
 	prepMark []uint64
 	prepGen  uint64
 
@@ -179,16 +183,18 @@ func newChannel(eng *sim.Engine, cfg Config, id int, name string) *Channel {
 	c.tickEv.Init(sim.HandlerFunc(c.tick))
 	nBanks := cfg.Geometry.BankGroups * cfg.Geometry.Banks
 	c.prepMark = make([]uint64, cfg.Geometry.Ranks*nBanks)
+	c.banks = make([]bankState, cfg.Geometry.Ranks*nBanks)
+	for i := range c.banks {
+		c.banks[i].row = -1
+	}
 	for r := 0; r < cfg.Geometry.Ranks; r++ {
+		lo, hi := r*nBanks, (r+1)*nBanks
 		rs := &rankState{
-			banks:      make([]bankState, nBanks),
+			banks:      c.banks[lo:hi:hi],
 			nextCASbg:  make([]int64, cfg.Geometry.BankGroups),
 			nextACTbg:  make([]int64, cfg.Geometry.BankGroups),
 			nextRDbg:   make([]int64, cfg.Geometry.BankGroups),
 			refreshDue: int64(cfg.Timing.REFI),
-		}
-		for i := range rs.banks {
-			rs.banks[i].row = -1
 		}
 		// The tFAW window starts empty: pre-age the ring so the first four
 		// activations are unconstrained.
@@ -236,7 +242,7 @@ func (c *Channel) TryEnqueue(r *mem.Req, loc addrmap.Loc) bool {
 	} else {
 		c.freePend = p.next
 	}
-	*p = pending{req: r, loc: loc}
+	*p = pending{req: r, loc: loc, key: loc.BankID(c.cfg.Geometry)}
 	*q = append(*q, p)
 	c.kick()
 	return true

@@ -59,7 +59,8 @@ func (d *DeviceSet) Stats() Stats {
 	return s
 }
 
-// Idle reports whether every channel's queues are empty.
+// Idle reports whether every channel's queues are empty (see
+// Channel.Idle).
 func (d *DeviceSet) Idle() bool {
 	for _, c := range d.channels {
 		if !c.Idle() {

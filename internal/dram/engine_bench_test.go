@@ -2,9 +2,11 @@ package dram
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/addrmap"
+	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -82,6 +84,80 @@ func benchStream(b *testing.B, channels, linesPerChannel int) {
 // form; it is kept so captured baselines stay comparable.
 func BenchmarkEngineShardedChannels(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchStream(b, 8, 1<<13) })
+}
+
+// BenchmarkEngineScheduler times the FR-FCFS scheduler on one channel at
+// the Table I queue depth: a mixed 70/30 read/write stream to random
+// banks and rows keeps both queues topped up, so nearly every tick scans
+// a full window. One op is one request; ns/cmd divides the time by every
+// command issued (ACT, PRE, RD, WR, REF).
+func BenchmarkEngineScheduler(b *testing.B) {
+	for _, window := range []int{8, 24, 64} {
+		b.Run(fmt.Sprintf("window%d", window), func(b *testing.B) {
+			benchScheduler(b, window)
+		})
+	}
+}
+
+func benchScheduler(b *testing.B, window int) {
+	cfg := DefaultConfig()
+	cfg.Geometry.Channels = 1
+	cfg.ScanWindow = window
+	eng := sim.New()
+	ch := MustNew(eng, cfg, "bench").Channel(0)
+	g := cfg.Geometry
+	rng := rand.New(rand.NewSource(1))
+	// Requests return to a free stack when they complete, and locations
+	// come from a precomputed table, so the timed loop allocates nothing.
+	reqs := make([]mem.Req, 4*cfg.QueueDepth)
+	free := make([]*mem.Req, 0, len(reqs))
+	for i := range reqs {
+		req := &reqs[i]
+		req.OnDone = func(clock.Picos) { free = append(free, req) }
+		free = append(free, req)
+	}
+	locs := make([]addrmap.Loc, 4096)
+	kinds := make([]mem.Kind, len(locs))
+	for i := range locs {
+		locs[i] = addrmap.Loc{
+			Rank:      rng.Intn(g.Ranks),
+			BankGroup: rng.Intn(g.BankGroups),
+			Bank:      rng.Intn(g.Banks),
+			Row:       rng.Intn(64),
+			Col:       rng.Intn(g.Cols),
+		}
+		if rng.Intn(10) < 3 {
+			kinds[i] = mem.Write
+		}
+	}
+	period := cfg.Timing.Domain().Period()
+	sent := 0
+	var refill func()
+	refill = func() {
+		for sent < b.N && len(free) > 0 {
+			req := free[len(free)-1]
+			req.Kind = kinds[sent%len(kinds)]
+			if !ch.TryEnqueue(req, locs[sent%len(locs)]) {
+				break
+			}
+			free = free[:len(free)-1]
+			sent++
+		}
+		if sent < b.N {
+			eng.After(16*period, refill)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	refill()
+	eng.Run()
+	b.StopTimer()
+	s := ch.Stats()
+	if s.Reads+s.Writes != uint64(b.N) {
+		b.Fatalf("served %d requests, want %d", s.Reads+s.Writes, b.N)
+	}
+	cmds := s.Acts + s.Pres + s.Reads + s.Writes + s.Refs
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cmds), "ns/cmd")
 }
 
 // TestBenchStreamDeterministic pins the benchmark workload itself: every

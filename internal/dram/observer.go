@@ -71,22 +71,3 @@ func (c *Channel) emitCAS(p *pending, cyc int64, cmd Cmd) {
 	c.emit(CmdEvent{Cycle: cyc, Cmd: cmd, Rank: p.loc.Rank,
 		BankGrp: p.loc.BankGroup, Bank: p.loc.Bank, Row: p.loc.Row, Col: p.loc.Col})
 }
-
-// locOfBank reconstructs (bg, bk) from a bank pointer for PRE events.
-func (c *Channel) locOfBank(r *rankState, b *bankState) (bg, bk int) {
-	for i := range r.banks {
-		if &r.banks[i] == b {
-			return i / c.cfg.Geometry.Banks, i % c.cfg.Geometry.Banks
-		}
-	}
-	return -1, -1
-}
-
-func (c *Channel) rankIndex(r *rankState) int {
-	for i, rr := range c.ranks {
-		if rr == r {
-			return i
-		}
-	}
-	return -1
-}

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"repro/internal/addrmap"
 	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -24,10 +23,11 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 	t := &c.cfg.Timing
 
 	// --- Refresh ---
-	for _, r := range c.ranks {
+	for ri, r := range c.ranks {
 		if r.refreshing {
 			if cyc >= r.refreshUntil {
 				r.refreshing = false
+				c.refreshing--
 			} else {
 				wake = min64(wake, r.refreshUntil)
 				continue
@@ -42,7 +42,7 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 						continue
 					}
 					if cyc >= b.nextPRE {
-						c.issuePREBank(r, b)
+						c.issuePRE(ri*len(r.banks) + i)
 						return true, 0
 					}
 					wake = min64(wake, b.nextPRE)
@@ -50,13 +50,14 @@ func (c *Channel) tryIssue(cyc int64) (bool, int64) {
 				continue
 			}
 			r.refreshing = true
+			c.refreshing++
 			r.refreshUntil = cyc + int64(t.RFC)
 			r.refreshDue += int64(t.REFI)
 			for i := range r.banks {
 				r.banks[i].nextACT = max64(r.banks[i].nextACT, r.refreshUntil)
 			}
 			c.stats.Refs++
-			c.emit(CmdEvent{Cycle: cyc, Cmd: CmdREF, Rank: c.rankIndex(r),
+			c.emit(CmdEvent{Cycle: cyc, Cmd: CmdREF, Rank: ri,
 				Bank: -1, BankGrp: -1, Row: -1, Col: -1})
 			return true, 0
 		}
@@ -106,14 +107,16 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 		scan = scan[:c.cfg.ScanWindow]
 	}
 
+	banks, refreshing := c.banks, c.refreshing > 0
+
 	// --- Pass 1: first-ready row hit ---
+	// A refreshing rank has every bank closed, so its requests never
+	// match an open row; the rank test is kept as a guard.
 	for _, p := range scan {
-		r := c.ranks[p.loc.Rank]
-		if r.refreshing {
+		if banks[p.key].row != p.loc.Row {
 			continue
 		}
-		b := r.bank(p.loc, c.cfg.Geometry.Banks)
-		if b.row != p.loc.Row {
+		if refreshing && c.ranks[p.loc.Rank].refreshing {
 			continue
 		}
 		ready := c.earliestCAS(p, cyc)
@@ -126,23 +129,20 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 
 	// --- Pass 2: oldest request per bank, prepare its row ---
 	// prepMark is generation-stamped scratch (see Channel), so per-tick
-	// bank ownership tracking allocates nothing. BankID is already
-	// rank-global.
+	// bank ownership tracking allocates nothing.
 	c.prepGen++
 	for _, p := range scan {
-		r := c.ranks[p.loc.Rank]
-		if r.refreshing {
+		if refreshing && c.ranks[p.loc.Rank].refreshing {
 			continue
 		}
-		b := r.bank(p.loc, c.cfg.Geometry.Banks)
+		b := &banks[p.key]
 		if b.row == p.loc.Row {
 			continue // row hit, pass 1's business
 		}
-		key := p.loc.BankID(c.cfg.Geometry)
-		if c.prepMark[key] == c.prepGen {
+		if c.prepMark[p.key] == c.prepGen {
 			continue // an older request already owns this bank
 		}
-		c.prepMark[key] = c.prepGen
+		c.prepMark[p.key] = c.prepGen
 		if b.row < 0 {
 			ready := c.earliestACT(p, cyc)
 			if ready <= cyc {
@@ -154,13 +154,13 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 		}
 		// Conflict: precharge, unless a queued row hit still wants the
 		// open row (closing it would waste that hit).
-		if c.hasRowHitFor(p.loc, b.row) {
+		if c.hasRowHitFor(p.key, b.row) {
 			continue
 		}
 		ready := max64(b.nextPRE, 0)
 		if ready <= cyc {
 			p.conflict = true
-			c.issuePREBank(r, b)
+			c.issuePRE(p.key)
 			return true, 0
 		}
 		wake = min64(wake, ready)
@@ -169,16 +169,15 @@ func (c *Channel) tryQueue(q []*pending, cyc int64) (bool, int64) {
 }
 
 // hasRowHitFor reports whether any queued request targets the open row of
-// the given bank (so the scheduler should not precharge it yet).
-func (c *Channel) hasRowHitFor(loc addrmap.Loc, openRow int) bool {
+// bank key (so the scheduler should not precharge it yet).
+func (c *Channel) hasRowHitFor(key, openRow int) bool {
 	match := func(q []*pending) bool {
 		n := len(q)
 		if n > c.cfg.ScanWindow {
 			n = c.cfg.ScanWindow
 		}
 		for _, p := range q[:n] {
-			if p.loc.Rank == loc.Rank && p.loc.BankGroup == loc.BankGroup &&
-				p.loc.Bank == loc.Bank && p.loc.Row == openRow {
+			if p.key == key && p.loc.Row == openRow {
 				return true
 			}
 		}
@@ -191,7 +190,7 @@ func (c *Channel) hasRowHitFor(loc addrmap.Loc, openRow int) bool {
 func (c *Channel) earliestACT(p *pending, cyc int64) int64 {
 	t := &c.cfg.Timing
 	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	b := &c.banks[p.key]
 	ready := max64(b.nextACT, r.nextACT)
 	ready = max64(ready, r.nextACTbg[p.loc.BankGroup])
 	// tFAW: the fifth ACT must wait for the oldest of the last four.
@@ -203,7 +202,7 @@ func (c *Channel) earliestACT(p *pending, cyc int64) int64 {
 // assuming its row is open.
 func (c *Channel) earliestCAS(p *pending, cyc int64) int64 {
 	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	b := &c.banks[p.key]
 	var ready int64
 	if p.req.Kind == mem.Read {
 		ready = b.nextRD
@@ -255,7 +254,7 @@ func (c *Channel) busReady(kind mem.Kind, rank int) int64 {
 func (c *Channel) issueACT(p *pending, cyc int64) {
 	t := &c.cfg.Timing
 	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	b := &c.banks[p.key]
 	c.emit(CmdEvent{Cycle: cyc, Cmd: CmdACT, Rank: p.loc.Rank,
 		BankGrp: p.loc.BankGroup, Bank: p.loc.Bank, Row: p.loc.Row, Col: -1})
 	b.row = p.loc.Row
@@ -271,14 +270,15 @@ func (c *Channel) issueACT(p *pending, cyc int64) {
 	c.stats.Acts++
 }
 
-// issuePREBank closes a bank belonging to rank r.
-func (c *Channel) issuePREBank(r *rankState, b *bankState) {
+// issuePRE closes bank key.
+func (c *Channel) issuePRE(key int) {
 	t := &c.cfg.Timing
+	b := &c.banks[key]
 	cyc := c.dom.Cycles(c.eng.Now())
 	if c.observer != nil {
-		bg, bk := c.locOfBank(r, b)
-		c.emit(CmdEvent{Cycle: cyc, Cmd: CmdPRE, Rank: c.rankIndex(r),
-			BankGrp: bg, Bank: bk, Row: -1, Col: -1})
+		g := c.cfg.Geometry
+		c.emit(CmdEvent{Cycle: cyc, Cmd: CmdPRE, Rank: key / (g.BankGroups * g.Banks),
+			BankGrp: key / g.Banks % g.BankGroups, Bank: key % g.Banks, Row: -1, Col: -1})
 	}
 	b.row = -1
 	b.nextACT = max64(b.nextACT, cyc+int64(t.RP))
@@ -290,7 +290,7 @@ func (c *Channel) issuePREBank(r *rankState, b *bankState) {
 func (c *Channel) issueCAS(p *pending, cyc int64) {
 	t := &c.cfg.Timing
 	r := c.ranks[p.loc.Rank]
-	b := r.bank(p.loc, c.cfg.Geometry.Banks)
+	b := &c.banks[p.key]
 
 	r.nextCASbg[p.loc.BankGroup] = cyc + int64(t.CCDL)
 	c.nextCAS = cyc + int64(t.CCDS)
@@ -398,5 +398,8 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// Idle reports whether the channel has no queued or in-flight work.
+// Idle reports whether the channel's read and write queues are empty. It
+// does not wait for issued commands: the data bursts of the last column
+// commands may still be in flight, their completions pending on the
+// engine.
 func (c *Channel) Idle() bool { return len(c.readQ) == 0 && len(c.writeQ) == 0 }

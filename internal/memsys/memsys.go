@@ -322,7 +322,8 @@ func (s *System) WaitSpace(fn func()) {
 	s.lastFull.WaitSpace(fn)
 }
 
-// Idle reports whether both device sets have drained.
+// Idle reports whether every channel of both device sets has empty
+// queues; issued bursts may still be completing (see dram.Channel.Idle).
 func (s *System) Idle() bool { return s.DRAM.Idle() && s.PIM.Idle() }
 
 var _ mem.Port = (*System)(nil)

@@ -335,10 +335,12 @@ func (s *System) RunLoad(recs []trace.Record, cfg trace.DriverConfig) (trace.Loa
 	return out, nil
 }
 
-// drain runs remaining completion events (posted writes, refreshes in
-// flight) without advancing past quiescence. With live threads (for
-// example contenders) the memory system never goes idle, so draining is
-// skipped — their traffic keeps flowing on the next run anyway.
+// drain runs the engine until every channel's queues are empty, so
+// queued requests (posted writes in particular) get issued. It stops
+// there: completions of bursts already issued may still be pending on
+// the engine, and fire on its next run. With live threads (for example
+// contenders) the memory system never goes idle, so draining is skipped
+// — their traffic keeps flowing on the next run anyway.
 func (s *System) drain() {
 	if s.CPU.Runnable() > 0 {
 		return
