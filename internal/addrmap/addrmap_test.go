@@ -2,6 +2,7 @@ package addrmap
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -355,5 +356,66 @@ func TestMLPChannelUniformity(t *testing.T) {
 		if c < want*95/100 || c > want*105/100 {
 			t.Errorf("channel %d got %d of %d lines; want ~%d", ch, c, n, want)
 		}
+	}
+}
+
+// searchLookup is the reference region lookup: a binary search of the
+// sorted regions by end address.
+func searchLookup(rs []Region, addr uint64) (Region, bool) {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].End() > addr })
+	if i < len(rs) && addr >= rs[i].Base {
+		return rs[i], true
+	}
+	return Region{}, false
+}
+
+// TestHetMapLookupMatchesSearch checks Lookup and Decode against the
+// binary-search reference on the Base layout (locality-centric mapping
+// on both regions) and the PIM-MMU layout (MLP-centric DRAM region):
+// at base-1, base, end-1 and end of every region and on 10k random
+// addresses, inside and outside the regions.
+func TestHetMapLookupMatchesSearch(t *testing.T) {
+	layouts := map[string]*HetMap{
+		"base": NewHetMap(
+			Region{Name: "dram", Base: 0, Mapper: NewLocality(paperGeom), Space: mem.SpaceDRAM},
+			Region{Name: "pim", Base: mem.PIMBase, Mapper: NewLocality(paperGeom), Space: mem.SpacePIM},
+		),
+		"pim-mmu": NewHetMap(
+			Region{Name: "pim", Base: mem.PIMBase, Mapper: NewLocality(paperGeom), Space: mem.SpacePIM},
+			Region{Name: "dram", Base: 0, Mapper: NewMLP(paperGeom), Space: mem.SpaceDRAM},
+		),
+	}
+	for name, h := range layouts {
+		t.Run(name, func(t *testing.T) {
+			rs := h.Regions()
+			var addrs []uint64
+			for _, r := range rs {
+				addrs = append(addrs, r.Base-1, r.Base, r.End()-1, r.End())
+			}
+			rng := rand.New(rand.NewSource(11))
+			top := rs[len(rs)-1].End() + rs[len(rs)-1].Size()
+			for i := 0; i < 10000; i++ {
+				addrs = append(addrs, rng.Uint64()%top)
+			}
+			inside := 0
+			for _, a := range addrs {
+				want, wantOK := searchLookup(rs, a)
+				got, ok := h.Lookup(a)
+				if ok != wantOK || got.Name != want.Name {
+					t.Fatalf("Lookup(0x%x) = %q/%v, want %q/%v", a, got.Name, ok, want.Name, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				inside++
+				r, l := h.Decode(a)
+				if r.Name != want.Name || l != want.Mapper.Map(a-want.Base) {
+					t.Fatalf("Decode(0x%x) = %q %v, want %q %v", a, r.Name, l, want.Name, want.Mapper.Map(a-want.Base))
+				}
+			}
+			if inside == 0 || inside == len(addrs) {
+				t.Errorf("%d of %d addresses inside a region; want both hits and misses", inside, len(addrs))
+			}
+		})
 	}
 }

@@ -39,6 +39,9 @@ func (r Region) End() uint64 { return r.Base + r.Size() }
 // the homogeneous BIOS mapping real PIM systems are forced into.
 type HetMap struct {
 	regions []Region // sorted by Base
+	// ends[i] is regions[i].End(), computed once so Lookup does not ask
+	// the mapper for its geometry on every decode.
+	ends []uint64
 }
 
 // NewHetMap builds a mapping unit from the given regions. Regions must not
@@ -47,20 +50,28 @@ func NewHetMap(regions ...Region) *HetMap {
 	rs := make([]Region, len(regions))
 	copy(rs, regions)
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Base < rs[j].Base })
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Base < rs[i-1].End() {
+	ends := make([]uint64, len(rs))
+	for i := range rs {
+		ends[i] = rs[i].End()
+		if i > 0 && rs[i].Base < ends[i-1] {
 			panic(fmt.Sprintf("addrmap: regions %q and %q overlap", rs[i-1].Name, rs[i].Name))
 		}
 	}
-	return &HetMap{regions: rs}
+	return &HetMap{regions: rs, ends: ends}
 }
 
 // Lookup finds the region containing addr. The second result is false when
-// the address falls outside every region.
+// the address falls outside every region. A system has a handful of
+// regions (two in practice), so a linear walk of the sorted ends beats a
+// binary search.
 func (h *HetMap) Lookup(addr uint64) (Region, bool) {
-	i := sort.Search(len(h.regions), func(i int) bool { return h.regions[i].End() > addr })
-	if i < len(h.regions) && addr >= h.regions[i].Base {
-		return h.regions[i], true
+	for i, end := range h.ends {
+		if addr < end {
+			if addr >= h.regions[i].Base {
+				return h.regions[i], true
+			}
+			break
+		}
 	}
 	return Region{}, false
 }

@@ -436,12 +436,14 @@ func (e *Engine) runBatch(op Op, from, to int) {
 	}
 	b := &batchRun{
 		e:          e,
-		readIts:    build(readStreams, op.Dir == PIMToDRAM),
-		writeIts:   build(writeStreams, op.Dir == DRAMToPIM),
+		read:       cursor{its: build(readStreams, op.Dir == PIMToDRAM)},
+		write:      cursor{its: build(writeStreams, op.Dir == DRAMToPIM)},
 		totalRead:  pimms.TotalLines(readStreams) * mem.LineBytes,
 		totalWrite: pimms.TotalLines(writeStreams) * mem.LineBytes,
 		bufBytes:   buf,
 	}
+	b.readSpaceFn = b.resumeRead
+	b.writeSpaceFn = b.resumeWrite
 	e.batch = b
 	b.pump()
 }
@@ -520,10 +522,8 @@ func (e *Engine) firePreproc(now clock.Picos) {
 // batchRun is the in-flight state of one batch: the read-side and
 // write-side iterators coupled through the data buffer.
 type batchRun struct {
-	e                  *Engine
-	readIts, writeIts  []pimms.Iterator
-	rrR, rrW           int
-	pendingR, pendingW *pimms.Granule
+	e           *Engine
+	read, write cursor
 
 	readsIssued, readsDone   uint64 // bytes
 	writesIssued, writesDone uint64 // bytes
@@ -532,23 +532,40 @@ type batchRun struct {
 
 	readStalled, writeStalled bool
 	finished                  bool
+
+	// readSpaceFn/writeSpaceFn are the WaitSpace callbacks of a stalled
+	// side, bound once per batch so a rejection allocates nothing.
+	readSpaceFn, writeSpaceFn func()
 }
 
-func take(its []pimms.Iterator, rr *int, pending **pimms.Granule) (pimms.Granule, bool) {
-	if *pending != nil {
-		g := **pending
-		*pending = nil
-		return g, true
+// cursor walks one side's iterators round robin. A granule the memory
+// system rejected is held back and taken again first.
+type cursor struct {
+	its  []pimms.Iterator
+	rr   int
+	held pimms.Granule
+	hold bool
+}
+
+func (c *cursor) take() (pimms.Granule, bool) {
+	if c.hold {
+		c.hold = false
+		return c.held, true
 	}
-	n := len(its)
+	n := len(c.its)
 	for scanned := 0; scanned < n; scanned++ {
-		it := its[*rr]
-		*rr = (*rr + 1) % n
+		it := c.its[c.rr]
+		c.rr = (c.rr + 1) % n
 		if g, ok := it.Next(); ok {
 			return g, true
 		}
 	}
 	return pimms.Granule{}, false
+}
+
+// putBack holds a rejected granule for the next take.
+func (c *cursor) putBack(g pimms.Granule) {
+	c.held, c.hold = g, true
 }
 
 // pump advances both halves of the pipeline as far as resources allow.
@@ -562,17 +579,14 @@ func (b *batchRun) pump() {
 		if b.writesIssued >= b.totalWrite {
 			break
 		}
-		g, ok := take(b.writeIts, &b.rrW, &b.pendingW)
+		g, ok := b.write.take()
 		if !ok {
 			break
 		}
 		if !b.issueWrite(g) {
-			b.pendingW = &g
+			b.write.putBack(g)
 			b.writeStalled = true
-			b.e.sys.WaitSpace(func() {
-				b.writeStalled = false
-				b.pump()
-			})
+			b.e.sys.WaitSpace(b.writeSpaceFn)
 			break
 		}
 		b.writesIssued += mem.LineBytes
@@ -582,22 +596,31 @@ func (b *batchRun) pump() {
 		if b.readsIssued-b.writesDone+mem.LineBytes > b.bufBytes {
 			break
 		}
-		g, ok := take(b.readIts, &b.rrR, &b.pendingR)
+		g, ok := b.read.take()
 		if !ok {
 			break
 		}
 		if !b.issueRead(g) {
-			b.pendingR = &g
+			b.read.putBack(g)
 			b.readStalled = true
-			b.e.sys.WaitSpace(func() {
-				b.readStalled = false
-				b.pump()
-			})
+			b.e.sys.WaitSpace(b.readSpaceFn)
 			break
 		}
 		b.readsIssued += mem.LineBytes
 	}
 	b.finishIfDrained()
+}
+
+// resumeWrite and resumeRead are the WaitSpace callbacks: queue space
+// freed, so the stalled side may issue again.
+func (b *batchRun) resumeWrite() {
+	b.writeStalled = false
+	b.pump()
+}
+
+func (b *batchRun) resumeRead() {
+	b.readStalled = false
+	b.pump()
 }
 
 // issueRead sends one read-side line. DCE traffic bypasses the LLC in

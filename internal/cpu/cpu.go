@@ -129,6 +129,10 @@ type Thread struct {
 	// built once at spawn so the per-op issue path allocates nothing.
 	loadDone, storeDone func(clock.Picos)
 
+	// spare is a request the memory port rejected; a port never retains
+	// a rejected request (mem.Port), so the retry reuses it.
+	spare *mem.Req
+
 	// computeUntil marks the end of an in-progress compute span so that a
 	// preemption can carry the unfinished remainder over to the thread's
 	// next dispatch instead of losing it.
@@ -172,6 +176,48 @@ type CPU struct {
 	ready  []*Thread // runnable threads not on a core
 	nextID int
 	alive  int // spawned minus exited
+
+	// freeWait recycles fired WaitSpace registrations (see spaceWait).
+	freeWait *spaceWait
+}
+
+// spaceWait is one WaitSpace registration of a thread rejected by a full
+// queue. It remembers the core the thread was rejected on, so a record
+// that fires after the thread migrated kicks only that core, which no
+// longer runs the thread: a no-op. Records carry a pre-bound fn and
+// recycle through CPU.freeWait when they fire, so a rejection allocates
+// nothing; each rejection takes its own record, and each record fires
+// once (mem.Port).
+type spaceWait struct {
+	core *Core
+	t    *Thread
+	fn   func()
+	next *spaceWait // free list
+}
+
+// waitSpace registers a one-shot wake-up of thread t on core with the
+// memory port.
+func (c *CPU) waitSpace(core *Core, t *Thread) {
+	w := c.freeWait
+	if w == nil {
+		w = &spaceWait{}
+		w.fn = w.fire
+	} else {
+		c.freeWait = w.next
+		w.next = nil
+	}
+	w.core, w.t = core, t
+	c.mem.WaitSpace(w.fn)
+}
+
+// fire recycles the record, then re-kicks its core if the thread still
+// runs there.
+func (w *spaceWait) fire() {
+	core, t := w.core, w.t
+	w.core, w.t = nil, nil
+	w.next = core.cpu.freeWait
+	core.cpu.freeWait = w
+	core.kickIfMine(t)
 }
 
 // New builds the processor. The quantum ticker starts with the first
@@ -394,19 +440,24 @@ func (core *Core) advance(now clock.Picos) {
 				t.blocked = true
 				return
 			}
-			req := &mem.Req{
+			req := t.spare
+			if req == nil {
+				req = new(mem.Req)
+			}
+			t.spare = nil
+			*req = mem.Req{
 				Addr:      mem.LineAlign(op.Addr),
 				Cacheable: !op.NC,
 				SrcID:     t.ID,
+				OnDone:    t.loadDone,
 			}
 			if op.Kind == OpStore {
 				req.Kind = mem.Write
 				req.OnDone = t.storeDone
-			} else {
-				req.OnDone = t.loadDone
 			}
 			if !cpu.mem.TryEnqueue(req) {
-				cpu.mem.WaitSpace(func() { core.kickIfMine(t) })
+				t.spare = req
+				cpu.waitSpace(core, t)
 				return
 			}
 			if op.Kind == OpLoad {

@@ -151,8 +151,12 @@ type Channel struct {
 
 	tickEv   sim.Event // the channel's one standing scheduler-tick event
 	lastTick int64     // last cycle the scheduler ran (one command per cycle)
-	waiters  []func()
-	observer Observer
+	// waiters holds the WaitSpace registrations; spareWaiters is the
+	// drained buffer of the previous wake, swapped in by notifySpace so
+	// waking allocates no new slice.
+	waiters, spareWaiters []func()
+	notifying             bool // notifySpace is running its waiters
+	observer              Observer
 
 	// prepMark/prepGen are the scheduler's allocation-free per-tick
 	// scratch: prepMark[key] == prepGen marks a bank already owned by an
@@ -264,15 +268,27 @@ func (c *Channel) WaitSpace(fn func()) {
 	c.waiters = append(c.waiters, fn)
 }
 
+// notifySpace fires every registered waiter once, in registration order.
+// A waiter that registers again (a retry rejected once more) lands in the
+// other buffer and waits for the next wake. A waiter must not cause a
+// nested wake: that would fire the fresh registrations early, so it
+// panics instead.
 func (c *Channel) notifySpace() {
 	if len(c.waiters) == 0 {
 		return
 	}
+	if c.notifying {
+		panic("dram: re-entrant notifySpace")
+	}
+	c.notifying = true
 	ws := c.waiters
-	c.waiters = nil
+	c.waiters = c.spareWaiters
 	for _, fn := range ws {
 		fn()
 	}
+	clear(ws)
+	c.spareWaiters = ws[:0]
+	c.notifying = false
 }
 
 // kick schedules a scheduler tick at the next cycle boundary. If the

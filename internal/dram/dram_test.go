@@ -258,6 +258,22 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
+// A waiter that causes a nested wake would fire the registrations made
+// during the outer wake early; notifySpace refuses with a panic.
+func TestReentrantNotifySpacePanics(t *testing.T) {
+	ch := MustNew(sim.New(), smallConfig(), "dram").Channel(0)
+	ch.WaitSpace(func() {
+		ch.WaitSpace(func() {})
+		ch.notifySpace()
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("re-entrant notifySpace did not panic")
+		}
+	}()
+	ch.notifySpace()
+}
+
 // Refresh: during a long busy stretch, each rank must issue one REF per
 // tREFI on average, and no starvation may occur.
 func TestRefreshRate(t *testing.T) {

@@ -97,11 +97,18 @@ func LineAlign(addr uint64) uint64 { return addr &^ uint64(LineBytes-1) }
 
 // Port is the interface request generators use to reach the memory system.
 // TryEnqueue reports false when the target controller queue is full; the
-// caller must retry after Wakeup fires (registered via WaitSpace).
+// caller must retry after the callback registered via WaitSpace fires.
 type Port interface {
-	// TryEnqueue attempts to hand the request to the memory system.
+	// TryEnqueue attempts to hand the request to the memory system. A
+	// rejected request is never retained: when TryEnqueue returns false
+	// the port keeps no reference to r, so the caller may reuse or
+	// modify it at once (for the retry, typically).
 	TryEnqueue(r *Req) bool
-	// WaitSpace registers a callback invoked (once) the next time queue
-	// space that previously caused a TryEnqueue failure becomes available.
+	// WaitSpace registers a one-shot callback: fn runs once, the next
+	// time queue space that previously caused a TryEnqueue failure
+	// becomes available, and is then forgotten. Each call is a separate
+	// registration, even when fn is the same function value, so a caller
+	// may reuse one pre-bound callback instead of allocating a closure
+	// per rejection.
 	WaitSpace(fn func())
 }

@@ -113,6 +113,10 @@ type System struct {
 	// Access, so WaitSpace can register there (mem.Port contract).
 	lastFull *dram.Channel
 
+	// spareFill is a line-fill request a full queue rejected; the channel
+	// kept no reference to it, so the next miss reuses it.
+	spareFill *mem.Req
+
 	// tap, when set, observes every request accepted at the mem.Port
 	// boundary — CPU, DCE and contender traffic alike — before any queue
 	// or cache side effect becomes visible to the caller. Trace recording
@@ -257,7 +261,11 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 	}
 
 	// Miss: fetch the line (a read, even for a store — write-allocate).
-	fill := &mem.Req{
+	fill := s.spareFill
+	if fill == nil {
+		fill = new(mem.Req)
+	}
+	*fill = mem.Req{
 		Addr:      r.Addr,
 		Kind:      mem.Read,
 		Cacheable: true,
@@ -265,9 +273,11 @@ func (s *System) TryEnqueue(r *mem.Req) bool {
 		SrcID:     r.SrcID,
 	}
 	if !ch.TryEnqueue(fill, loc) {
+		s.spareFill = fill
 		s.lastFull = ch
 		return false
 	}
+	s.spareFill = nil
 	s.accepted(r)
 	res := s.LLC.Access(r.Addr, r.Kind == mem.Write)
 	if res.HasWriteback {

@@ -17,10 +17,10 @@ import (
 // are kept so captured baselines (BENCH_engine.json) stay comparable.
 
 // buildContenders builds a Table I Base machine with n contender threads
-// made by prog and runs it for simTime.
-func buildContenders(n int, simTime clock.Picos, prog func(st *contend.Stopper, base uint64) cpu.Program) *system.System {
+// made by prog, each given its own wset-byte region, and runs it for
+// simTime.
+func buildContenders(n int, wset uint64, simTime clock.Picos, prog func(st *contend.Stopper, base uint64) cpu.Program) *system.System {
 	s := system.MustNew(system.DefaultConfig(system.Base))
-	const wset = 16 << 10
 	base := s.Alloc(uint64(n) * wset)
 	st := s.Contenders(n, func(i int, st *contend.Stopper) cpu.Program {
 		return prog(st, base+uint64(i)*wset)
@@ -31,34 +31,41 @@ func buildContenders(n int, simTime clock.Picos, prog func(st *contend.Stopper, 
 }
 
 // runContenders runs buildContenders and returns the threads' issued
-// memory operations for verification.
-func runContenders(n int, simTime clock.Picos, prog func(st *contend.Stopper, base uint64) cpu.Program) uint64 {
-	s := buildContenders(n, simTime, prog)
-	var memOps uint64
+// memory operations and the DRAM queues' TryEnqueue rejections, for
+// verification.
+func runContenders(n int, wset uint64, simTime clock.Picos, prog func(st *contend.Stopper, base uint64) cpu.Program) (memOps, queueFull uint64) {
+	s := buildContenders(n, wset, simTime, prog)
 	for _, c := range s.CPU.Cores() {
 		if t := c.Thread(); t != nil {
 			memOps += t.MemOps
 		}
 	}
-	return memOps
+	for _, st := range s.Mem.DRAM.Stats().Channels {
+		queueFull += st.QueueFull
+	}
+	return memOps, queueFull
 }
 
-// benchContenders reports the memory operations of one contender run as
-// a custom metric.
-func benchContenders(b *testing.B, n int, simTime clock.Picos, prog func(st *contend.Stopper, base uint64) cpu.Program) {
+// benchContenders reports the memory operations and queue rejections of
+// one contender run as custom metrics.
+func benchContenders(b *testing.B, n int, wset uint64, simTime clock.Picos, prog func(st *contend.Stopper, base uint64) cpu.Program) {
 	b.Run("serial", func(b *testing.B) {
-		var memOps uint64
+		var memOps, queueFull uint64
 		for i := 0; i < b.N; i++ {
-			memOps = runContenders(n, simTime, prog)
+			memOps, queueFull = runContenders(n, wset, simTime, prog)
 		}
 		b.ReportMetric(float64(memOps), "memops")
+		b.ReportMetric(float64(queueFull), "queuefull")
 	})
 }
+
+// spinWset is the working set of the hit-bound contenders.
+const spinWset = 16 << 10
 
 // BenchmarkEngineShardedCores times the Fig. 13a spin-contender workload:
 // 8 threads alternating compute-span chains with LLC-hit loads.
 func BenchmarkEngineShardedCores(b *testing.B) {
-	benchContenders(b, 8, 4*clock.Millisecond, contend.Spin)
+	benchContenders(b, 8, spinWset, 4*clock.Millisecond, contend.Spin)
 }
 
 // hitLoop returns a hit-dominated contender: bursts of LLC-hit loads
@@ -92,7 +99,23 @@ func hitLoop(st *contend.Stopper, base uint64) cpu.Program {
 // workload: 16 hitLoop threads on 8 cores, so quantum rotations run
 // under load and nearly every completion is an LLC-hit delivery.
 func BenchmarkEngineContendedHits(b *testing.B) {
-	benchContenders(b, 16, 2*clock.Millisecond, hitLoop)
+	benchContenders(b, 16, spinWset, 2*clock.Millisecond, hitLoop)
+}
+
+// hogFootprint is each memory hog's streaming footprint, as in Fig. 13b:
+// far larger than the LLC, so every load misses.
+const hogFootprint = 64 << 20
+
+// veryHighHog is a Fig. 13b MemoryHog at the highest intensity.
+func veryHighHog(st *contend.Stopper, base uint64) cpu.Program {
+	return contend.MemoryHog(st, base, hogFootprint, contend.VeryHigh)
+}
+
+// BenchmarkEngineMemoryHogs times the Fig. 13b contender on its own:
+// four VeryHigh MemoryHog threads keep the DRAM read queues full, so
+// most TryEnqueues are rejected and retried after a WaitSpace wake.
+func BenchmarkEngineMemoryHogs(b *testing.B) {
+	benchContenders(b, 4, hogFootprint, 200*clock.Microsecond, veryHighHog)
 }
 
 // benchOpenLoop runs one open-loop Poisson load point (32 GB/s offered,
@@ -137,10 +160,10 @@ func TestBenchContendersDeterministic(t *testing.T) {
 		build func() *system.System
 	}{
 		{"spin", func() *system.System {
-			return buildContenders(8, 2*clock.Millisecond, contend.Spin)
+			return buildContenders(8, spinWset, 2*clock.Millisecond, contend.Spin)
 		}},
 		{"hit-loop", func() *system.System {
-			return buildContenders(16, clock.Millisecond, hitLoop)
+			return buildContenders(16, spinWset, clock.Millisecond, hitLoop)
 		}},
 	}
 	for _, w := range workloads {
