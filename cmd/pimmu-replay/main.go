@@ -19,9 +19,10 @@
 // and across -workers counts.
 //
 // load sweeps an open-loop arrival process (fixed-rate, poisson, or
-// bursty on/off) over an offered-load axis on Base and PIM-MMU: unlike
-// replay, arrivals accrue on the simulated clock regardless of memory
-// backpressure, so each point reports the end-to-end latency tail
+// bursty on/off) over an offered-load axis on Base and PIM-MMU. As in
+// replay, due times never move under backpressure; here they come from
+// the arrival process instead of a trace, so each point reports the
+// end-to-end latency tail
 // (p50/p99/p99.9, arrival to completion) and the p99 queueing delay at
 // that offered load, plus the SLO knee — the maximum offered load whose
 // p99 meets -slo-ns. The same determinism and caching contracts as
@@ -320,8 +321,7 @@ func cmdReplay(args []string) error {
 				r := results[i]
 				fmt.Fprintf(w, "%-12v %12.2f %12.0f %18s %12d %12v\n",
 					d, r.Throughput()/1e9, r.AvgLatency().Nanoseconds(),
-					fmt.Sprintf("%.0f/%.0f/%.0f",
-						r.Latency.P50().Nanoseconds(), r.Latency.P95().Nanoseconds(), r.Latency.P99().Nanoseconds()),
+					r.Latency.Tail(0.5, 0.95, 0.99),
 					r.Retries, r.Slip)
 			}
 		}
@@ -442,7 +442,7 @@ func cmdLoad(args []string) error {
 			m := results[gi*len(designs)+1]
 			fmt.Fprintf(w, "%-16.2f %24s %24s %16.0f %16.0f\n",
 				dcfgAt(gap).OfferedLoad()/1e9,
-				tail999(&b.Total), tail999(&m.Total),
+				b.Total.Tail(0.5, 0.99, 0.999), m.Total.Tail(0.5, 0.99, 0.999),
 				b.Queue.P99().Nanoseconds(), m.Queue.P99().Nanoseconds())
 			for di := range designs {
 				r := results[gi*len(designs)+di]
@@ -476,12 +476,6 @@ func parseGaps(s string) ([]clock.Picos, error) {
 		return nil, fmt.Errorf("load: empty -gaps axis")
 	}
 	return gaps, nil
-}
-
-// tail999 renders p50/p99/p99.9 bucket upper bounds in whole ns.
-func tail999(h *trace.LatencyHist) string {
-	return fmt.Sprintf("%.0f/%.0f/%.0f",
-		h.P50().Nanoseconds(), h.P99().Nanoseconds(), h.P999().Nanoseconds())
 }
 
 // kneeGBs renders one design's SLO knee as its offered load, or "-"

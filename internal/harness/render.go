@@ -14,7 +14,6 @@ import (
 	"repro/internal/contend"
 	"repro/internal/prim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // table1Render prints the simulated system configuration.
@@ -244,25 +243,18 @@ func replayRender(w io.Writer, _ Scale, res []ReplayPoint) {
 		m := res[g.Index(wi, 1)]
 		t.Rowf("%s\t%s\t%s\t%s\t%s\t%s", wl.name,
 			gb(b.Thr), gb(m.Thr), ratio(m.Thr/b.Thr),
-			percentiles(&b.Hist), percentiles(&m.Hist))
+			b.Hist.Tail(0.5, 0.95, 0.99), m.Hist.Tail(0.5, 0.95, 0.99))
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintln(w, "expected shape: DRAM-region patterns gain from HetMap's MLP-centric")
 	fmt.Fprintln(w, "                mapping; the PIM-region pattern is mapping-neutral")
 }
 
-// percentiles renders a latency histogram's tail as "p50/p95/p99" in
-// whole nanoseconds (bucket upper bounds: each figure is a <= bound).
-func percentiles(h *trace.LatencyHist) string {
-	return fmt.Sprintf("%.0f/%.0f/%.0f",
-		h.P50().Nanoseconds(), h.P95().Nanoseconds(), h.P99().Nanoseconds())
-}
-
 // loadCurveRender prints the latency-vs-offered-load table: each point
 // reports the end-to-end tail (p50/p99/p99.9) plus the p99 queueing
-// delay — the component a closed-loop replay cannot see. The footer row
-// reads off the SLO knee: the maximum offered load whose p99 stays
-// within the objective.
+// delay, which separates waiting at the door from service time. The
+// footer row reads off the SLO knee: the maximum offered load whose p99
+// stays within the objective.
 func loadCurveRender(w io.Writer, sc Scale, res []LoadPoint) {
 	gaps := loadGaps(sc)
 	g := loadCurveGrid(sc)
@@ -274,7 +266,7 @@ func loadCurveRender(w io.Writer, sc Scale, res []LoadPoint) {
 		m := res[g.Index(gi, 1)]
 		t.Rowf("%s\t%s\t%s\t%.0f\t%.0f",
 			gb(loadDriverConfig(sc, gap).OfferedLoad()),
-			percentiles999(&b.Total), percentiles999(&m.Total),
+			b.Total.Tail(0.5, 0.99, 0.999), m.Total.Tail(0.5, 0.99, 0.999),
 			b.Queue.P99().Nanoseconds(), m.Queue.P99().Nanoseconds())
 		for di := range knee {
 			p := res[g.Index(gi, di)]
@@ -296,11 +288,4 @@ func kneeCell(sc Scale, gap clock.Picos) string {
 		return "-"
 	}
 	return gb(loadDriverConfig(sc, gap).OfferedLoad()) + " GB/s"
-}
-
-// percentiles999 renders a latency histogram's tail as "p50/p99/p99.9"
-// in whole nanoseconds (bucket upper bounds: each figure is a <= bound).
-func percentiles999(h *trace.LatencyHist) string {
-	return fmt.Sprintf("%.0f/%.0f/%.0f",
-		h.P50().Nanoseconds(), h.P99().Nanoseconds(), h.P999().Nanoseconds())
 }

@@ -131,6 +131,31 @@ func TestArrivalScheduleShapes(t *testing.T) {
 	if same {
 		t.Error("different seeds produced identical schedules")
 	}
+
+	// Every valid schedule is non-empty and starts at 0, down to a
+	// duration of one picosecond and a gap longer than the duration.
+	for _, proc := range Processes() {
+		for _, c := range []struct{ gap, dur, on, off clock.Picos }{
+			{1, 1, 1, 0},
+			{clock.Microsecond, 1, 1, clock.Microsecond},
+			{8 * clock.Nanosecond, 64 * clock.Microsecond, 4 * clock.Microsecond, 4 * clock.Microsecond},
+			{3, 1000, 7, 991},
+		} {
+			cfg := DefaultDriverConfig()
+			cfg.Process, cfg.MeanGap, cfg.Duration, cfg.OnTime, cfg.OffTime = proc, c.gap, c.dur, c.on, c.off
+			for seed := uint64(1); seed <= 4; seed++ {
+				cfg.Seed = seed
+				arr, err := ArrivalSchedule(cfg)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", proc, c, err)
+				}
+				if len(arr) == 0 || arr[0] != 0 {
+					t.Fatalf("%s %+v seed %d: schedule %v does not start with an arrival at 0",
+						proc, c, seed, arr[:min(len(arr), 1)])
+				}
+			}
+		}
+	}
 }
 
 // TestDriverUncontended checks the bookkeeping on a run with no

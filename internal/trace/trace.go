@@ -2,9 +2,12 @@
 // format for memory traffic observed at the mem.Port boundary, a
 // versioned binary codec plus a human-readable text form, synthetic
 // trace generators modelling common application access patterns, a
-// Recorder that captures live traffic, and a Replayer that injects a
-// recorded stream back into a memory system with the original
-// inter-arrival timing and full backpressure handling.
+// Recorder that captures live traffic, and one injector that drives
+// line requests into a memory system. The injector issues each line at
+// its due time behind an in-flight cap; a line held back by
+// backpressure waits without moving the due times of later lines. It
+// has two schedules: the Replayer takes due times from the records'
+// timestamps, and the open-loop Driver from an arrival process.
 //
 // The paper's evaluation is driven by real-application memory traffic;
 // this package is how the repository gets from synthetic harness
